@@ -2,7 +2,10 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -44,30 +47,54 @@ func TestSeedSweep(t *testing.T) {
 	}
 }
 
+// fixedBase is an in-memory backend: every round trip that the fault
+// draw lets through gets the same canned /simulate answer, so transport
+// tests never dial, resolve, or depend on OS error text.
+type fixedBase struct{}
+
+func (fixedBase) RoundTrip(req *http.Request) (*http.Response, error) {
+	return synthesize(req, http.StatusOK, "application/json", `{"cached":false,"result":{"name":"x"}}`+"\n"), nil
+}
+
+// outcomeKind names one attempt's client-visible outcome: the injected
+// error, or the status plus how the body read ended (a cut body yields a
+// prefix, then an error).
+func outcomeKind(resp *http.Response, err error) string {
+	if err != nil {
+		var inj errInjected
+		if !errors.As(err, &inj) {
+			return "foreign-err"
+		}
+		return "err:" + inj.kind
+	}
+	defer resp.Body.Close()
+	b, rerr := io.ReadAll(resp.Body)
+	if rerr != nil {
+		return fmt.Sprintf("status:%s cut-after:%q", resp.Status, b)
+	}
+	return fmt.Sprintf("status:%s body:%q", resp.Status, b)
+}
+
 // TestTransportDeterministic pins the core property everything rests on:
 // the same (seed, body, attempt) always draws the same fault, regardless
 // of when or in what order the request arrives.
 func TestTransportDeterministic(t *testing.T) {
 	plan := Plan{PConnRefused: 0.25, PCutBody: 0.25, P429: 0.25, P500: 0.25}
 	kinds := func() []string {
-		tr := &Transport{Seed: 7, Plan: plan}
+		tr := &Transport{Base: fixedBase{}, Seed: 7, Plan: plan}
 		var out []string
 		for attempt := 0; attempt < 32; attempt++ {
 			req, _ := http.NewRequest(http.MethodPost, "http://unused.invalid/simulate",
 				strings.NewReader(`{"cell":"x"}`))
-			resp, err := tr.RoundTrip(req)
-			switch {
-			case err != nil:
-				out = append(out, "err:"+err.Error())
-			default:
-				out = append(out, "status:"+resp.Status)
-				resp.Body.Close()
-			}
+			out = append(out, outcomeKind(tr.RoundTrip(req)))
 		}
 		return out
 	}
 	a, b := kinds(), kinds()
 	for i := range a {
+		if a[i] == "foreign-err" {
+			t.Fatalf("attempt %d: error not injected by the harness — the transport reached past its Base", i)
+		}
 		if a[i] != b[i] {
 			t.Fatalf("attempt %d: %q then %q — fault schedule is not deterministic", i, a[i], b[i])
 		}
@@ -87,7 +114,7 @@ func TestTransportDeterministic(t *testing.T) {
 // produce different schedules, or the sweep explores nothing.
 func TestSeedsDiffer(t *testing.T) {
 	outcome := func(seed int64) string {
-		tr := &Transport{Seed: seed, Plan: Plan{PConnRefused: 0.5, P500: 0.5}}
+		tr := &Transport{Base: fixedBase{}, Seed: seed, Plan: Plan{PConnRefused: 0.5, P500: 0.5}}
 		var out strings.Builder
 		for attempt := 0; attempt < 16; attempt++ {
 			req, _ := http.NewRequest(http.MethodPost, "http://unused.invalid/simulate",
