@@ -39,6 +39,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/server"
 )
 
 func main() {
@@ -121,22 +122,24 @@ func main() {
 
 	tr := obs.New("dvsgw", *traceBuffer)
 	gw, err := fleet.New(fleet.Options{
-		Peers:          peers,
-		Local:          runner.New(*workers),
-		MaxInflight:    *queue,
-		MaxJobs:        *maxJobs,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		Fanout:         *fanout,
-		MaxAttempts:    *retries,
-		Backoff:        *backoff,
-		HedgeAfter:     *hedgeAfter,
-		ShedBudget:     *shedBudget,
-		Tracer:         tr,
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		FailAfter:      *failAfter,
-		CheckpointDir:  *ckptDir,
+		Server: server.Options{
+			Runner:         runner.New(*workers),
+			Fanout:         *fanout,
+			MaxInflight:    *queue,
+			MaxJobs:        *maxJobs,
+			DefaultTimeout: *timeout,
+			MaxTimeout:     *maxTimeout,
+			Tracer:         tr,
+			CheckpointDir:  *ckptDir,
+		},
+		Peers:         peers,
+		MaxAttempts:   *retries,
+		Backoff:       *backoff,
+		HedgeAfter:    *hedgeAfter,
+		ShedBudget:    *shedBudget,
+		ProbeInterval: *probeInterval,
+		ProbeTimeout:  *probeTimeout,
+		FailAfter:     *failAfter,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dvsgw:", err)

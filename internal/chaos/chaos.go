@@ -324,11 +324,14 @@ func Run(seed int64, sched Schedule, invs []Invariant) (*Report, error) {
 
 func gatewayFor(env *Env, sched Schedule, tr *Transport, ckptDir string, cfs *FS) (*fleet.Gateway, error) {
 	opts := fleet.Options{
+		Server: server.Options{
+			Runner:        env.Local,
+			MaxInflight:   4,
+			Fanout:        sched.fanout(),
+			CheckpointDir: ckptDir,
+		},
 		Peers:       env.URLs,
-		Local:       env.Local,
 		Client:      &http.Client{Transport: tr},
-		MaxInflight: 4,
-		Fanout:      sched.fanout(),
 		MaxAttempts: sched.MaxAttempts,
 		Backoff:     sched.Backoff,
 		MaxBackoff:  sched.MaxBackoff,
@@ -338,13 +341,12 @@ func gatewayFor(env *Env, sched Schedule, tr *Transport, ckptDir string, cfs *FS
 		// absorb: ejection would route attempts away from the fault
 		// schedule (and probes are never started, so nothing would
 		// re-admit them).
-		FailAfter:     1 << 30,
-		CheckpointDir: ckptDir,
+		FailAfter: 1 << 30,
 	}
 	if cfs != nil {
-		opts.CheckpointFS = cfs
+		opts.Server.CheckpointFS = cfs
 	}
-	// Note: the gateway is driven through its handler without Start(), so
+	// Note: the gateway is driven through its handler, never Serve, so
 	// no health probes run — every round trip the Transport sees is a
 	// cell forward.
 	return fleet.New(opts)

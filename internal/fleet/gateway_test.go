@@ -35,8 +35,8 @@ func newGateway(t *testing.T, opts Options) *Gateway {
 	if opts.Backoff == 0 {
 		opts.Backoff = time.Millisecond
 	}
-	if opts.Local == nil {
-		opts.Local = runner.New(2)
+	if opts.Server.Runner == nil {
+		opts.Server.Runner = runner.New(2)
 	}
 	g, err := New(opts)
 	if err != nil {

@@ -3,49 +3,20 @@ package fleet
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/server"
 )
 
-// cellBuckets are the per-backend cell-latency histogram bounds in
-// seconds: a cache-hit round trip (~1 ms over loopback) up to a class-C
-// cell (minutes).
-var cellBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
-
-// latHist is a lock-free fixed-bucket histogram (atomic counters), cheap
-// enough to live on the per-cell forward path.
-type latHist struct {
-	counts [9]atomic.Int64 // len(cellBuckets)+1, last = +Inf overflow
-	sumUS  atomic.Int64    // microseconds, so the sum can stay atomic
-	n      atomic.Int64
-}
-
-func (h *latHist) observe(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(cellBuckets, s)
-	h.counts[i].Add(1)
-	h.sumUS.Add(d.Microseconds())
-	h.n.Add(1)
-}
-
-// gwMetrics is the gateway's instrumentation: request counts and latency
-// by path (mirroring dvsd's series shapes under the dvsgw_ prefix),
-// fleet-level counters (retries, hedges, shed-waits, local fallbacks),
-// and the per-backend series rendered from the pool's live state.
-type gwMetrics struct {
-	mu       sync.Mutex
-	requests map[string]int64 // "path|status" → count
-	cells    int64            // sweep cells streamed
-
+// ladderMetrics counts the degradation ladder's decisions. The front's
+// own series (requests, latency, queue, checkpointing, the fallback
+// runner) are the server's; these and the per-backend series are what
+// the gateway adds to /metrics.
+type ladderMetrics struct {
 	retried  atomic.Int64 // cell attempts beyond a cell's first
 	hedged   atomic.Int64 // hedge requests launched
 	shedWait atomic.Int64 // waits on a backend 429 (backpressure, not failure)
 	local    atomic.Int64 // cells executed in-process (degradation floor)
-	resumed  atomic.Int64 // cells replayed from a checkpoint journal
-	ckptErr  atomic.Int64 // checkpoint journals that failed to open
 }
 
 // Counters is a point-in-time snapshot of the gateway's fleet-level
@@ -65,121 +36,48 @@ type Counters struct {
 // atomically; the snapshot is not a consistent cut across fields, which
 // is fine for monotone counters read at quiescence.
 func (g *Gateway) Counters() Counters {
+	sc := g.srv.Counters()
 	return Counters{
 		Retried:          g.met.retried.Load(),
 		Hedged:           g.met.hedged.Load(),
 		ShedWaits:        g.met.shedWait.Load(),
 		Local:            g.met.local.Load(),
-		Resumed:          g.met.resumed.Load(),
-		CheckpointErrors: g.met.ckptErr.Load(),
+		Resumed:          sc.Resumed,
+		CheckpointErrors: sc.CheckpointErrors,
 	}
 }
 
-func newGwMetrics() *gwMetrics {
-	return &gwMetrics{requests: map[string]int64{}}
-}
+// WriteMetrics implements server.Fleet: the ladder counters, then the
+// per-backend series. Pool state is read at call time, so probe state
+// and backend counters are current.
+func (g *Gateway) WriteMetrics(w io.Writer) {
+	m := &g.met
+	server.Counter(w, "dvsgw_requests_retried_total", "Cell attempts beyond each cell's first (failover and error retries).", m.retried.Load())
+	server.Counter(w, "dvsgw_hedged_requests_total", "Hedge requests launched against straggler cells.", m.hedged.Load())
+	server.Counter(w, "dvsgw_shed_waits_total", "Backoff waits taken on a backend queue_full shed.", m.shedWait.Load())
+	server.Counter(w, "dvsgw_local_fallback_cells_total", "Cells executed in-process because no backend could serve them.", m.local.Load())
 
-func (m *gwMetrics) record(path string, status int) {
-	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", path, status)]++
-	m.mu.Unlock()
-}
-
-func (m *gwMetrics) addCells(n int) {
-	m.mu.Lock()
-	m.cells += int64(n)
-	m.mu.Unlock()
-}
-
-// render writes the Prometheus text exposition. Pool state is read at
-// call time, so probe state and backend counters are current.
-func (m *gwMetrics) render(w io.Writer, p *Pool, inflight, capacity int) {
-	m.mu.Lock()
-	fmt.Fprintln(w, "# HELP dvsgw_requests_total Gateway requests served, by path and status.")
-	fmt.Fprintln(w, "# TYPE dvsgw_requests_total counter")
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sep := strings.IndexByte(k, '|')
-		fmt.Fprintf(w, "dvsgw_requests_total{path=%q,status=%q} %d\n", k[:sep], k[sep+1:], m.requests[k])
-	}
-	cells := m.cells
-	m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP dvsgw_sweep_cells_total Sweep grid cells streamed by the gateway.")
-	fmt.Fprintln(w, "# TYPE dvsgw_sweep_cells_total counter")
-	fmt.Fprintf(w, "dvsgw_sweep_cells_total %d\n", cells)
-
-	fmt.Fprintln(w, "# HELP dvsgw_requests_retried_total Cell attempts beyond each cell's first (failover and error retries).")
-	fmt.Fprintln(w, "# TYPE dvsgw_requests_retried_total counter")
-	fmt.Fprintf(w, "dvsgw_requests_retried_total %d\n", m.retried.Load())
-	fmt.Fprintln(w, "# HELP dvsgw_hedged_requests_total Hedge requests launched against straggler cells.")
-	fmt.Fprintln(w, "# TYPE dvsgw_hedged_requests_total counter")
-	fmt.Fprintf(w, "dvsgw_hedged_requests_total %d\n", m.hedged.Load())
-	fmt.Fprintln(w, "# HELP dvsgw_shed_waits_total Backoff waits taken on a backend queue_full shed.")
-	fmt.Fprintln(w, "# TYPE dvsgw_shed_waits_total counter")
-	fmt.Fprintf(w, "dvsgw_shed_waits_total %d\n", m.shedWait.Load())
-	fmt.Fprintln(w, "# HELP dvsgw_local_fallback_cells_total Cells executed in-process because no backend could serve them.")
-	fmt.Fprintln(w, "# TYPE dvsgw_local_fallback_cells_total counter")
-	fmt.Fprintf(w, "dvsgw_local_fallback_cells_total %d\n", m.local.Load())
-	fmt.Fprintln(w, "# HELP dvsgw_resumed_cells_total Sweep cells replayed from a checkpoint journal instead of re-executed.")
-	fmt.Fprintln(w, "# TYPE dvsgw_resumed_cells_total counter")
-	fmt.Fprintf(w, "dvsgw_resumed_cells_total %d\n", m.resumed.Load())
-	fmt.Fprintln(w, "# HELP dvsgw_checkpoint_errors_total Checkpoint journals that could not be opened (the sweep ran uncheckpointed).")
-	fmt.Fprintln(w, "# TYPE dvsgw_checkpoint_errors_total counter")
-	fmt.Fprintf(w, "dvsgw_checkpoint_errors_total %d\n", m.ckptErr.Load())
-
-	fmt.Fprintln(w, "# HELP dvsgw_queue_depth Gateway requests currently admitted.")
-	fmt.Fprintln(w, "# TYPE dvsgw_queue_depth gauge")
-	fmt.Fprintf(w, "dvsgw_queue_depth %d\n", inflight)
-	fmt.Fprintln(w, "# HELP dvsgw_queue_capacity Gateway admission bound.")
-	fmt.Fprintln(w, "# TYPE dvsgw_queue_capacity gauge")
-	fmt.Fprintf(w, "dvsgw_queue_capacity %d\n", capacity)
-
-	fmt.Fprintln(w, "# HELP dvsgw_backend_up Probe state: 1 = admitted, 0 = ejected.")
-	fmt.Fprintln(w, "# TYPE dvsgw_backend_up gauge")
-	for _, b := range p.backends {
-		up := 0
-		if b.up.Load() {
-			up = 1
+	bs := g.pool.backends
+	series := func(name, typ, help string, v func(*backend) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, b := range bs {
+			fmt.Fprintf(w, "%s{backend=%q} %d\n", name, b.url, v(b))
 		}
-		fmt.Fprintf(w, "dvsgw_backend_up{backend=%q} %d\n", b.url, up)
 	}
-	fmt.Fprintln(w, "# HELP dvsgw_backend_requests_total Cell forwards attempted, by backend.")
-	fmt.Fprintln(w, "# TYPE dvsgw_backend_requests_total counter")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "dvsgw_backend_requests_total{backend=%q} %d\n", b.url, b.requests.Load())
-	}
-	fmt.Fprintln(w, "# HELP dvsgw_backend_failures_total Cell forwards that failed (transport error or shed), by backend.")
-	fmt.Fprintln(w, "# TYPE dvsgw_backend_failures_total counter")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "dvsgw_backend_failures_total{backend=%q} %d\n", b.url, b.failures.Load())
-	}
-	fmt.Fprintln(w, "# HELP dvsgw_backend_probes_total Health probes sent, by backend.")
-	fmt.Fprintln(w, "# TYPE dvsgw_backend_probes_total counter")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "dvsgw_backend_probes_total{backend=%q} %d\n", b.url, b.probes.Load())
-	}
-	fmt.Fprintln(w, "# HELP dvsgw_backend_probe_failures_total Health probes failed, by backend.")
-	fmt.Fprintln(w, "# TYPE dvsgw_backend_probe_failures_total counter")
-	for _, b := range p.backends {
-		fmt.Fprintf(w, "dvsgw_backend_probe_failures_total{backend=%q} %d\n", b.url, b.probeErr.Load())
-	}
+	series("dvsgw_backend_up", "gauge", "Probe state: 1 = admitted, 0 = ejected.", func(b *backend) int64 {
+		if b.up.Load() {
+			return 1
+		}
+		return 0
+	})
+	series("dvsgw_backend_requests_total", "counter", "Cell forwards attempted, by backend.", func(b *backend) int64 { return b.requests.Load() })
+	series("dvsgw_backend_failures_total", "counter", "Cell forwards that failed (transport error or shed), by backend.", func(b *backend) int64 { return b.failures.Load() })
+	series("dvsgw_backend_probes_total", "counter", "Health probes sent, by backend.", func(b *backend) int64 { return b.probes.Load() })
+	series("dvsgw_backend_probe_failures_total", "counter", "Health probes failed, by backend.", func(b *backend) int64 { return b.probeErr.Load() })
 
 	fmt.Fprintln(w, "# HELP dvsgw_backend_cell_seconds Successful cell forward latency, by backend.")
 	fmt.Fprintln(w, "# TYPE dvsgw_backend_cell_seconds histogram")
-	for _, b := range p.backends {
-		var cum int64
-		for i, le := range cellBuckets {
-			cum += b.lat.counts[i].Load()
-			fmt.Fprintf(w, "dvsgw_backend_cell_seconds_bucket{backend=%q,le=\"%g\"} %d\n", b.url, le, cum)
-		}
-		n := b.lat.n.Load()
-		fmt.Fprintf(w, "dvsgw_backend_cell_seconds_bucket{backend=%q,le=\"+Inf\"} %d\n", b.url, n)
-		fmt.Fprintf(w, "dvsgw_backend_cell_seconds_sum{backend=%q} %g\n", b.url, float64(b.lat.sumUS.Load())/1e6)
-		fmt.Fprintf(w, "dvsgw_backend_cell_seconds_count{backend=%q} %d\n", b.url, n)
+	for _, b := range bs {
+		b.lat.Write(w, "dvsgw_backend_cell_seconds", "backend", b.url)
 	}
 }

@@ -119,7 +119,7 @@ func TestSweepMaxJobsBoundaryParity(t *testing.T) {
 	const maxJobs = 6
 	dvsd := server.New(server.Options{Runner: runner.New(2), MaxJobs: maxJobs})
 	_, backendURL := startBackend(t)
-	gw := newGateway(t, Options{Peers: []string{backendURL}, MaxJobs: maxJobs})
+	gw := newGateway(t, Options{Peers: []string{backendURL}, Server: server.Options{MaxJobs: maxJobs}})
 
 	// Exactly at the limit: 2×3 = 6 cells, admitted by both.
 	for name, h := range map[string]http.Handler{"dvsd": dvsd.Handler(), "dvsgw": gw.Handler()} {

@@ -31,7 +31,7 @@ func startTracedBackend(t *testing.T) (*obs.Tracer, string) {
 func TestSweepTraceStitching(t *testing.T) {
 	trA, urlA := startTracedBackend(t)
 	trB, urlB := startTracedBackend(t)
-	g := newGateway(t, Options{Peers: []string{urlA, urlB}, Tracer: obs.New("dvsgw", 64)})
+	g := newGateway(t, Options{Peers: []string{urlA, urlB}, Server: server.Options{Tracer: obs.New("dvsgw", 64)}})
 
 	rec := postGW(g, "/sweep", sweepGrid)
 	if rec.Code != http.StatusOK {
@@ -114,7 +114,7 @@ func TestSweepTraceStitching(t *testing.T) {
 // that succeeded on the live backend.
 func TestRetryTraceRecorded(t *testing.T) {
 	_, urlLive := startBackend(t)
-	g := gatewayWithDeadHome(t, urlLive, Options{Tracer: obs.New("dvsgw", 64)})
+	g := gatewayWithDeadHome(t, urlLive, Options{Server: server.Options{Tracer: obs.New("dvsgw", 64)}})
 
 	rec := postGW(g, "/sweep", sweepGrid)
 	if rec.Code != http.StatusOK {

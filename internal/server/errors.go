@@ -12,7 +12,7 @@ import (
 // The typed wire-error contract lives in internal/sweep: the sweep
 // pipeline — not any one HTTP daemon — owns the wire format end to end.
 // These aliases keep internal/server's surface (and its callers: fleet,
-// cmd/dvsd, tests) stable.
+// chaos, tests) stable.
 
 // APIError is a typed, client-dispatchable request failure.
 type APIError = sweep.APIError

@@ -17,69 +17,86 @@ import (
 // the Prometheus style; the implicit +Inf bucket is the total count.
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 
-// histogram is a fixed-bucket latency histogram.
-type histogram struct {
-	counts [9]int64 // len(latencyBuckets)+1, last = +Inf overflow
-	sum    float64
-	n      int64
+// Histogram is a lock-free latency histogram over latencyBuckets, cheap
+// enough for per-request and per-cell paths. Both daemons' request
+// latency and the gateway's per-backend cell latency use it.
+type Histogram struct {
+	counts [9]atomic.Int64 // len(latencyBuckets)+1, last = +Inf overflow
+	sumUS  atomic.Int64    // microseconds, so the sum can stay atomic
+	n      atomic.Int64
 }
 
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets, s)
-	h.counts[i]++
-	h.sum += s
-	h.n++
+// Observe records one latency.
+func (h *Histogram) Observe(d time.Duration) {
+	h.counts[sort.SearchFloat64s(latencyBuckets, d.Seconds())].Add(1)
+	h.sumUS.Add(d.Microseconds())
+	h.n.Add(1)
 }
 
-// metrics is the service's instrumentation: request counts by
-// (path, status), per-path latency histograms, and sweep-cell counters.
+// Write renders the histogram's bucket, sum and count series for name,
+// labelled label="value".
+func (h *Histogram) Write(w io.Writer, name, label, value string) {
+	var cum int64
+	for i, le := range latencyBuckets {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"%g\"} %d\n", name, label, value, le, cum)
+	}
+	n := h.n.Load()
+	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, n)
+	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, float64(h.sumUS.Load())/1e6)
+	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, n)
+}
+
+// metrics is the front's instrumentation: request counts by
+// (path, status), per-path latency histograms, and sweep counters.
 // Queue depth and runner cache stats are sampled live at render time
 // from their owners rather than mirrored here.
 type metrics struct {
 	mu       sync.Mutex
 	requests map[string]int64 // "path|status" → count
-	latency  map[string]*histogram
-	cells    int64 // sweep grid cells streamed
+	latency  map[string]*Histogram
 
+	cells   atomic.Int64 // sweep grid cells streamed
+	resumed atomic.Int64 // cells replayed from a checkpoint journal
 	ckptErr atomic.Int64 // checkpoint journals that failed to open
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		requests: map[string]int64{},
-		latency:  map[string]*histogram{},
+		latency:  map[string]*Histogram{},
 	}
 }
 
 func (m *metrics) record(path string, status int, d time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.requests[fmt.Sprintf("%s|%d", path, status)]++
 	h := m.latency[path]
 	if h == nil {
-		h = &histogram{}
+		h = &Histogram{}
 		m.latency[path] = h
 	}
-	h.observe(d)
-}
-
-func (m *metrics) addCells(n int) {
-	m.mu.Lock()
-	m.cells += int64(n)
 	m.mu.Unlock()
+	h.Observe(d)
 }
 
-// render writes the Prometheus text exposition format. runnerStats and
-// the gate are read at call time so the figures are current, not
-// last-request-stale.
-func (m *metrics) render(w io.Writer, g *gate, st runner.Stats) {
-	runs, hits := st.Runs, st.Hits
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// Counter writes one counter series with its HELP and TYPE lines.
+func Counter(w io.Writer, name, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
+}
 
-	fmt.Fprintln(w, "# HELP dvsd_requests_total Requests served, by path and status.")
-	fmt.Fprintln(w, "# TYPE dvsd_requests_total counter")
+// gauge writes one gauge series with its HELP and TYPE lines.
+func gauge(w io.Writer, name, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+}
+
+// render writes the Prometheus text exposition format, every series
+// prefixed with the daemon name. Runner stats and the gate are read at
+// call time so the figures are current, not last-request-stale.
+func (m *metrics) render(w io.Writer, p string, g *gate, st runner.Stats) {
+	m.mu.Lock()
+	fmt.Fprintf(w, "# HELP %s_requests_total Requests served, by path and status.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_requests_total counter\n", p)
 	keys := make([]string, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
@@ -87,70 +104,36 @@ func (m *metrics) render(w io.Writer, g *gate, st runner.Stats) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		sep := strings.IndexByte(k, '|')
-		fmt.Fprintf(w, "dvsd_requests_total{path=%q,status=%q} %d\n", k[:sep], k[sep+1:], m.requests[k])
+		fmt.Fprintf(w, "%s_requests_total{path=%q,status=%q} %d\n", p, k[:sep], k[sep+1:], m.requests[k])
 	}
-
-	fmt.Fprintln(w, "# HELP dvsd_request_seconds Request latency, by path.")
-	fmt.Fprintln(w, "# TYPE dvsd_request_seconds histogram")
+	fmt.Fprintf(w, "# HELP %s_request_seconds Request latency, by path.\n", p)
+	fmt.Fprintf(w, "# TYPE %s_request_seconds histogram\n", p)
 	paths := make([]string, 0, len(m.latency))
-	for p := range m.latency {
-		paths = append(paths, p)
+	for path := range m.latency {
+		paths = append(paths, path)
 	}
 	sort.Strings(paths)
-	for _, p := range paths {
-		h := m.latency[p]
-		var cum int64
-		for i, le := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "dvsd_request_seconds_bucket{path=%q,le=\"%g\"} %d\n", p, le, cum)
-		}
-		fmt.Fprintf(w, "dvsd_request_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", p, h.n)
-		fmt.Fprintf(w, "dvsd_request_seconds_sum{path=%q} %g\n", p, h.sum)
-		fmt.Fprintf(w, "dvsd_request_seconds_count{path=%q} %d\n", p, h.n)
+	for _, path := range paths {
+		m.latency[path].Write(w, p+"_request_seconds", "path", path)
 	}
+	m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP dvsd_sweep_cells_total Sweep grid cells streamed.")
-	fmt.Fprintln(w, "# TYPE dvsd_sweep_cells_total counter")
-	fmt.Fprintf(w, "dvsd_sweep_cells_total %d\n", m.cells)
+	Counter(w, p+"_sweep_cells_total", "Sweep grid cells streamed.", m.cells.Load())
+	Counter(w, p+"_resumed_cells_total", "Sweep cells replayed from a checkpoint journal instead of re-executed.", m.resumed.Load())
+	Counter(w, p+"_checkpoint_errors_total", "Checkpoint journals that could not be opened (the sweep ran uncheckpointed).", m.ckptErr.Load())
+	gauge(w, p+"_queue_depth", "Requests currently admitted.", g.depth())
+	gauge(w, p+"_queue_capacity", "Admission queue bound.", g.capacity())
 
-	fmt.Fprintln(w, "# HELP dvsd_checkpoint_errors_total Checkpoint journals that could not be opened (the sweep ran uncheckpointed).")
-	fmt.Fprintln(w, "# TYPE dvsd_checkpoint_errors_total counter")
-	fmt.Fprintf(w, "dvsd_checkpoint_errors_total %d\n", m.ckptErr.Load())
-
-	fmt.Fprintln(w, "# HELP dvsd_queue_depth Requests currently admitted.")
-	fmt.Fprintln(w, "# TYPE dvsd_queue_depth gauge")
-	fmt.Fprintf(w, "dvsd_queue_depth %d\n", g.depth())
-	fmt.Fprintln(w, "# HELP dvsd_queue_capacity Admission queue bound.")
-	fmt.Fprintln(w, "# TYPE dvsd_queue_capacity gauge")
-	fmt.Fprintf(w, "dvsd_queue_capacity %d\n", g.capacity())
-
-	fmt.Fprintln(w, "# HELP dvsd_runner_runs_total Simulations actually executed by the shared runner.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_runs_total counter")
-	fmt.Fprintf(w, "dvsd_runner_runs_total %d\n", runs)
-	fmt.Fprintln(w, "# HELP dvsd_runner_cache_hits_total Jobs satisfied from the memo cache.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_cache_hits_total counter")
-	fmt.Fprintf(w, "dvsd_runner_cache_hits_total %d\n", hits)
-	fmt.Fprintln(w, "# HELP dvsd_runner_cache_hit_rate Hits / (hits + runs) over the runner lifetime.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_cache_hit_rate gauge")
+	Counter(w, p+"_runner_runs_total", "Simulations actually executed by the shared runner.", st.Runs)
+	Counter(w, p+"_runner_cache_hits_total", "Jobs satisfied from the memo cache.", st.Hits)
 	rate := 0.0
-	if runs+hits > 0 {
-		rate = float64(hits) / float64(runs+hits)
+	if st.Runs+st.Hits > 0 {
+		rate = float64(st.Hits) / float64(st.Runs+st.Hits)
 	}
-	fmt.Fprintf(w, "dvsd_runner_cache_hit_rate %g\n", rate)
-
-	fmt.Fprintln(w, "# HELP dvsd_runner_panics_recovered_total Simulation panics contained by the engine and converted to error outcomes.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_panics_recovered_total counter")
-	fmt.Fprintf(w, "dvsd_runner_panics_recovered_total %d\n", st.Panics)
-	fmt.Fprintln(w, "# HELP dvsd_runner_poisoned_total Error outcomes withheld from durable memoization by the failure policy.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_poisoned_total counter")
-	fmt.Fprintf(w, "dvsd_runner_poisoned_total %d\n", st.Poisoned)
-	fmt.Fprintln(w, "# HELP dvsd_runner_cache_evictions_total Completed memo entries dropped by the LRU bound.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_cache_evictions_total counter")
-	fmt.Fprintf(w, "dvsd_runner_cache_evictions_total %d\n", st.Evictions)
-	fmt.Fprintln(w, "# HELP dvsd_runner_cache_entries Resident memo-cache entries (completed + in-flight).")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_cache_entries gauge")
-	fmt.Fprintf(w, "dvsd_runner_cache_entries %d\n", st.Entries)
-	fmt.Fprintln(w, "# HELP dvsd_runner_cache_bytes Approximate resident memo-cache payload bytes.")
-	fmt.Fprintln(w, "# TYPE dvsd_runner_cache_bytes gauge")
-	fmt.Fprintf(w, "dvsd_runner_cache_bytes %d\n", st.Bytes)
+	gauge(w, p+"_runner_cache_hit_rate", "Hits / (hits + runs) over the runner lifetime.", rate)
+	Counter(w, p+"_runner_panics_recovered_total", "Simulation panics contained by the engine and converted to error outcomes.", st.Panics)
+	Counter(w, p+"_runner_poisoned_total", "Error outcomes withheld from durable memoization by the failure policy.", st.Poisoned)
+	Counter(w, p+"_runner_cache_evictions_total", "Completed memo entries dropped by the LRU bound.", st.Evictions)
+	gauge(w, p+"_runner_cache_entries", "Resident memo-cache entries (completed + in-flight).", st.Entries)
+	gauge(w, p+"_runner_cache_bytes", "Approximate resident memo-cache payload bytes.", st.Bytes)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/sweep"
 )
 
@@ -28,6 +27,3 @@ func ToResultJSON(r core.Result) ResultJSON { return sweep.ToResultJSON(r) }
 
 // OutcomeError maps a job outcome's failure to a typed error.
 func OutcomeError(err error) *APIError { return sweep.OutcomeError(err) }
-
-// Record builds the NDJSON line for one outcome.
-func Record(i int, o runner.Outcome) SweepRecord { return sweep.Record(i, o) }

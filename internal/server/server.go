@@ -1,8 +1,10 @@
-// Package server is dvsd's HTTP layer: simulation-as-a-service over the
-// sweep engine. One long-lived runner.Runner backs every request, so the
-// content-addressed memo cache warms across clients — the service
-// behaves like an inference endpoint fronting a batch engine: repeated
-// grid cells are answered from cache, fresh cells pay one simulation.
+// Package server is the HTTP front of dvsd and dvsgw: simulation-as-a-
+// service over the sweep pipeline. Where a cell runs is pluggable
+// (Options.Placer). dvsd places every cell on one long-lived
+// runner.Runner, so the content-addressed memo cache warms across
+// clients: repeated grid cells are answered from cache, fresh cells pay
+// one simulation. dvsgw plugs in the fleet's degradation ladder
+// (internal/fleet) and fans the same cells out to dvsd backends.
 //
 // Endpoints:
 //
@@ -14,7 +16,7 @@
 //
 // Production shape: strict typed validation (errors.go), a bounded
 // admission gate that sheds with 429 + Retry-After (queue.go),
-// per-request deadlines propagated into the runner as context
+// per-request deadlines propagated into placement as context
 // cancellation, and graceful shutdown that drains in-flight requests.
 package server
 
@@ -23,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -39,6 +42,15 @@ type Options struct {
 	// Runner executes the simulations; nil builds one with default
 	// parallelism. Sharing a Runner across servers shares its cache.
 	Runner *runner.Runner
+	// Placer decides where each cell runs. Nil places every cell on
+	// Runner (sweep.Local): that is dvsd. The fleet gateway passes its
+	// degradation ladder here, keeping Runner as its local fallback; a
+	// Placer that also implements Fleet names the daemon and adds its own
+	// /healthz keys and /metrics series.
+	Placer sweep.Placer
+	// Fanout bounds the cells one sweep places concurrently; 0 means
+	// Runner's worker count.
+	Fanout int
 	// MaxInflight bounds concurrently admitted requests; beyond it the
 	// server sheds with 429. Default 8.
 	MaxInflight int
@@ -52,10 +64,10 @@ type Options struct {
 	// RetryAfter is the backoff hint attached to 429 responses.
 	// Default 1 second.
 	RetryAfter time.Duration
-	// Tracer records per-request spans (admission, runner cache
-	// resolution, sim phases) into the /debug/traces ring, joining the
-	// caller's trace when the request carries a traceparent header. Nil
-	// disables tracing at zero cost.
+	// Tracer records per-request spans (admission, placement, runner
+	// cache resolution, sim phases) into the /debug/traces ring, joining
+	// the caller's trace when the request carries a traceparent header.
+	// Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// CheckpointDir, when set, journals each sweep's completed cells so
 	// re-posting an interrupted sweep replays them instead of
@@ -70,6 +82,12 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Runner == nil {
 		o.Runner = runner.New(0)
+	}
+	if o.Placer == nil {
+		o.Placer = sweep.Local{Runner: o.Runner}
+	}
+	if o.Fanout <= 0 {
+		o.Fanout = o.Runner.Workers()
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 8
@@ -89,14 +107,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the dvsd HTTP service.
+// Fleet is the optional method set of a Placer that spreads cells over
+// other daemons. The server discovers it by type assertion, the way
+// net/http discovers http.Flusher; a Placer without it is served as dvsd.
+// A Fleet placer roots one trace per cell, so a sweep request opens no
+// request-level span of its own.
+type Fleet interface {
+	// Name is the daemon name: the prefix of its /metrics series, log
+	// lines and request trace roots ("dvsgw").
+	Name() string
+	// WriteHealth writes the placer's /healthz members, each followed by
+	// a comma.
+	WriteHealth(w io.Writer)
+	// WriteMetrics writes the placer's own /metrics series.
+	WriteMetrics(w io.Writer)
+}
+
+// Server is the HTTP front of dvsd and dvsgw.
 type Server struct {
-	opts   Options
-	runner *runner.Runner
-	gate   *gate
-	met    *metrics
-	tr     *obs.Tracer
-	mux    *http.ServeMux
+	opts  Options
+	fleet Fleet // nil when serving as dvsd
+	name  string
+	gate  *gate
+	met   *metrics
+	mux   *http.ServeMux
 
 	mu sync.Mutex
 	hs *http.Server
@@ -106,23 +140,37 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:   opts,
-		runner: opts.Runner,
-		gate:   newGate(opts.MaxInflight),
-		met:    newMetrics(),
-		tr:     opts.Tracer,
+		opts: opts,
+		name: "dvsd",
+		gate: newGate(opts.MaxInflight),
+		met:  newMetrics(),
+	}
+	if f, ok := opts.Placer.(Fleet); ok {
+		s.fleet, s.name = f, f.Name()
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/simulate", s.instrument("/simulate", s.handleSimulate))
 	s.mux.HandleFunc("/sweep", s.instrument("/sweep", s.handleSweep))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.Handle("/debug/traces", s.tr.DebugHandler())
+	s.mux.Handle("/debug/traces", opts.Tracer.DebugHandler())
 	return s
 }
 
 // Runner returns the shared engine (its Stats feed /metrics).
-func (s *Server) Runner() *runner.Runner { return s.runner }
+func (s *Server) Runner() *runner.Runner { return s.opts.Runner }
+
+// Counters is a snapshot of the server's sweep bookkeeping.
+type Counters struct {
+	Resumed          int64 // cells replayed from a checkpoint journal
+	CheckpointErrors int64 // journals that could not be opened
+}
+
+// Counters snapshots the sweep counters — the programmatic twin of the
+// resumed-cells and checkpoint-error series.
+func (s *Server) Counters() Counters {
+	return Counters{Resumed: s.met.resumed.Load(), CheckpointErrors: s.met.ckptErr.Load()}
+}
 
 // Handler returns the routed handler, for embedding and httptest.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -195,11 +243,10 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// DecodeBody strictly parses a JSON body into v; unknown fields are typed
+// decodeBody strictly parses a JSON body into v; unknown fields are typed
 // errors, not silently dropped — a misspelled knob must not run a
-// default-configured simulation. Exported so the fleet gateway applies
-// the identical trust boundary before fanning cells out.
-func DecodeBody(r *http.Request, v any) *APIError {
+// default-configured simulation.
+func decodeBody(r *http.Request, v any) *APIError {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -220,23 +267,28 @@ func (s *Server) timeoutFor(ms float64) time.Duration {
 	return d
 }
 
-// MethodNotAllowed renders the typed 405 naming the verb to use.
-func MethodNotAllowed(w http.ResponseWriter, method string) {
+// methodNotAllowed renders the typed 405 naming the verb to use.
+func methodNotAllowed(w http.ResponseWriter, method string) {
 	WriteError(w, Errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "",
 		"use %s", method))
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	var req SimulateRequest
-	if ae := DecodeBody(r, &req); ae != nil {
+	if ae := decodeBody(r, &req); ae != nil {
 		WriteError(w, ae)
 		return
 	}
-	job, err := req.JobSpec.build()
+	cell, err := req.JobSpec.Cell()
+	if err != nil {
+		WriteError(w, InField(err, ""))
+		return
+	}
+	sc, err := cell.Wire()
 	if err != nil {
 		WriteError(w, InField(err, ""))
 		return
@@ -251,28 +303,28 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Root span of this process's part of the trace; a traceparent sent
 	// by a fleet gateway stitches it under the gateway's route span.
-	ctx, sp := s.tr.StartRequest(ctx, "dvsd.simulate", r.Header.Get("traceparent"))
+	ctx, sp := s.opts.Tracer.StartRequest(ctx, s.name+".simulate", r.Header.Get("traceparent"))
 	sp.SetAttr("queue_depth", fmt.Sprint(s.gate.depth()))
-	out := s.runner.Do(ctx, job)
+	out := s.opts.Placer.Place(ctx, 0, sc)
 	if out.Err != nil {
 		sp.SetAttr("error", out.Err.Error())
 		sp.End()
-		WriteError(w, OutcomeError(out.Err))
+		WriteError(w, out.Err)
 		return
 	}
 	sp.SetAttr("cached", fmt.Sprint(out.Cached))
 	sp.End()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(SimulateResponse{Cached: out.Cached, Result: ToResultJSON(out.Result)})
+	_ = json.NewEncoder(w).Encode(SimulateResponse{Cached: out.Cached, Result: *out.ResultJSON()})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
+		methodNotAllowed(w, http.MethodPost)
 		return
 	}
 	var req SweepRequest
-	if ae := DecodeBody(r, &req); ae != nil {
+	if ae := decodeBody(r, &req); ae != nil {
 		WriteError(w, ae)
 		return
 	}
@@ -289,12 +341,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
 	defer cancel()
-	// One trace per sweep request: cells show up as runner/sim child
-	// spans. (Per-cell traces are the gateway's view; a direct sweep is
-	// one client operation.)
-	ctx, sp := s.tr.StartRequest(ctx, "dvsd.sweep", r.Header.Get("traceparent"))
-	sp.SetAttr("jobs", fmt.Sprint(plan.Len()))
-	defer sp.End()
+	var sp *obs.Span
+	if s.fleet != nil {
+		// Carry only the tracer: each cell roots its own trace, so
+		// /debug/traces answers "why was THIS cell slow" directly.
+		ctx = obs.WithTracer(ctx, s.opts.Tracer)
+	} else {
+		// One trace per sweep request: cells show up as runner/sim child
+		// spans, since a direct sweep is one client operation.
+		ctx, sp = s.opts.Tracer.StartRequest(ctx, s.name+".sweep", r.Header.Get("traceparent"))
+		sp.SetAttr("jobs", fmt.Sprint(plan.Len()))
+		defer sp.End()
+	}
 
 	// Checkpointing is best-effort: a journal that cannot be opened must
 	// not fail the sweep, it only costs re-execution after a crash. The
@@ -308,42 +366,54 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if cerr != nil {
 			s.met.ckptErr.Add(1)
 			sp.Event("checkpoint.open_failed")
-			log.Printf("dvsd: sweep running uncheckpointed: %v", cerr)
+			log.Printf("%s: sweep running uncheckpointed: %v", s.name, cerr)
 		}
 	}
 
 	// Stream: one record per cell in completion order, then a trailer.
 	// The header commits status 200 before results exist; per-cell
-	// failures travel in-band as error records.
+	// failures travel in-band as error records. Resumed-cell counts go to
+	// /metrics, never the trailer: a resumed sweep's stream must match an
+	// uninterrupted one.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := sweep.NewEncoder(w)
-	sweep.Execute(ctx, plan, sweep.Local{Runner: s.runner}, sweep.ExecOptions{
-		Parallel:   s.runner.Workers(),
+	_, sum := sweep.Execute(ctx, plan, s.opts.Placer, sweep.ExecOptions{
+		Parallel:   s.opts.Fanout,
 		OnRecord:   enc.Record, // Execute serializes observer calls
 		Checkpoint: ckpt,
 	})
 	enc.Trailer(plan.Len())
-	s.met.addCells(plan.Len())
+	s.met.cells.Add(int64(plan.Len()))
+	s.met.resumed.Add(int64(sum.Resumed))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	st := s.runner.Stats()
+	// A fleet front is healthy even with zero live backends — its local
+	// fallback still serves — so status stays "ok" and the placer's keys
+	// carry the fleet's actual state.
+	st := s.opts.Runner.Stats()
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"queue_depth\":%d,\"queue_capacity\":%d,\"workers\":%d,\"cache_entries\":%d,\"cache_bytes\":%d}\n",
-		s.gate.depth(), s.gate.capacity(), s.runner.Workers(), st.Entries, st.Bytes)
+	fmt.Fprint(w, `{"status":"ok",`)
+	if s.fleet != nil {
+		s.fleet.WriteHealth(w)
+	}
+	fmt.Fprintf(w, "\"queue_depth\":%d,\"queue_capacity\":%d,\"workers\":%d,\"cache_entries\":%d,\"cache_bytes\":%d}\n",
+		s.gate.depth(), s.gate.capacity(), s.opts.Runner.Workers(), st.Entries, st.Bytes)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
+		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	st := s.runner.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w, s.gate, st)
+	s.met.render(w, s.name, s.gate, s.opts.Runner.Stats())
+	if s.fleet != nil {
+		s.fleet.WriteMetrics(w)
+	}
 }

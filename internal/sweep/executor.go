@@ -1,11 +1,11 @@
 package sweep
 
 import (
+	"context"
 	"net/http"
 	"runtime"
 	"sync"
-
-	"context"
+	"time"
 )
 
 // ExecOptions configures one Execute call.
@@ -44,6 +44,7 @@ type Summary struct {
 // to canceled error records). A panicking placer fails its cell, not the
 // sweep.
 func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outcome, Summary) {
+	ctx = context.WithValue(ctx, startedKey{}, time.Now())
 	cells := p.Cells()
 	outs := make([]Outcome, len(cells))
 	sum := Summary{Jobs: len(cells)}
@@ -112,6 +113,16 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 
 	opts.Checkpoint.finish(sum.Errors == 0)
 	return outs, sum
+}
+
+type startedKey struct{}
+
+// Started reports when the sweep placing this cell began executing: the
+// instant every one of its cells starts waiting for a placement slot.
+// Zero outside Execute (a lone /simulate cell never queues).
+func Started(ctx context.Context) time.Time {
+	t, _ := ctx.Value(startedKey{}).(time.Time)
+	return t
 }
 
 // place invokes the placer with a panic backstop: a placer blowing up
