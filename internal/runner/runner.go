@@ -213,7 +213,16 @@ func (r *Runner) RunContext(ctx context.Context, w npb.Workload, strat core.Stra
 // SweepContext for callers (like the dvsd service) that surface whether
 // a result was served from cache.
 func (r *Runner) Do(ctx context.Context, j Job) Outcome {
-	return r.run(ctx, j)
+	key, _ := j.Key()
+	return r.run(ctx, j, key)
+}
+
+// DoKeyed is Do for a caller that already holds the job's content key,
+// exactly as j.Key returns it ("" for an uncacheable job). The sweep
+// pipeline computes each cell's key once, at planning time; rendering
+// it again costs about as much as answering a cache hit.
+func (r *Runner) DoKeyed(ctx context.Context, j Job, key string) Outcome {
+	return r.run(ctx, j, key)
 }
 
 // coreRun is the simulation entry point, indirected so crash-containment
@@ -243,12 +252,11 @@ func (r *Runner) exec(ctx context.Context, j Job) (res core.Result, err error) {
 // Cache provenance is recorded on the caller's active span (if any):
 // cache.hit / cache.miss events, and a cache.wait span for the time
 // spent coalesced behind an identical in-flight job.
-func (r *Runner) run(ctx context.Context, j Job) Outcome {
+func (r *Runner) run(ctx context.Context, j Job, key string) Outcome {
 	if err := ctx.Err(); err != nil {
 		return Outcome{Err: err}
 	}
-	key, cacheable := j.Key()
-	if !cacheable {
+	if key == "" {
 		r.mu.Lock()
 		r.stats.Runs++
 		r.mu.Unlock()
@@ -302,7 +310,8 @@ func (r *Runner) runCell(ctx context.Context, j Job, i int, out []Outcome, emit 
 			}
 		}
 	}()
-	out[i] = r.run(ctx, j)
+	key, _ := j.Key()
+	out[i] = r.run(ctx, j, key)
 	emit(i, out[i])
 }
 

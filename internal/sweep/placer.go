@@ -69,5 +69,5 @@ type Local struct {
 }
 
 func (l Local) Place(ctx context.Context, _ int, c Cell) Outcome {
-	return FromRunner(l.Runner.Do(ctx, c.Job))
+	return FromRunner(l.Runner.DoKeyed(ctx, c.Job, c.Key))
 }

@@ -25,9 +25,10 @@ import (
 // The Key is the runner's content address; it doubles as the fleet
 // router's affinity token and the checkpoint journal's cell identity.
 type Cell struct {
-	// Key is the runner's content address, "" when the cell is not
-	// cacheable (then no backend holds it warm, any placement is as good
-	// as any other, and the cell is never journaled or replayed).
+	// Key is the runner's content address, exactly as Job.Key returns
+	// it; "" when the cell is not cacheable (then no backend holds it
+	// warm, any placement is as good as any other, and the cell is never
+	// journaled or replayed).
 	Key string
 	// Job is the compiled form, runnable in-process.
 	Job runner.Job
