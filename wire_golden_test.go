@@ -29,7 +29,7 @@ import (
 	"repro/internal/server"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/wire from the current behaviour")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current behaviour")
 
 const (
 	goldenSim = `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external","freq_mhz":600}}`
@@ -154,12 +154,12 @@ func saturate(t *testing.T, h http.Handler) (release func()) {
 	}
 }
 
-// checkGolden compares got with testdata/wire/<name>, or rewrites the file
-// under -update. A mismatch reports both digests and the first differing
-// line.
+// checkGolden compares got with testdata/<name> (a slash-separated
+// path), or rewrites the file under -update. A mismatch reports both
+// digests and the first differing line.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", "wire", name)
+	path := filepath.Join("testdata", filepath.FromSlash(name))
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -227,9 +227,9 @@ func TestWireGolden(t *testing.T) {
 		tr.errors = errs.String()
 
 		t.Run(d.name, func(t *testing.T) {
-			checkGolden(t, "simulate.golden", tr.simulate)
-			checkGolden(t, "sweep.golden", tr.sweep)
-			checkGolden(t, "errors.golden", tr.errors)
+			checkGolden(t, "wire/simulate.golden", tr.simulate)
+			checkGolden(t, "wire/sweep.golden", tr.sweep)
+			checkGolden(t, "wire/errors.golden", tr.errors)
 		})
 		if first == nil {
 			first = &tr
