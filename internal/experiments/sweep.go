@@ -33,18 +33,15 @@ type SweepStats struct {
 // resumes where it stopped.
 func (o Options) sweep(jobs []runner.Job) []runner.Outcome {
 	eng := o.engine()
-	cells := make([]sweep.Cell, len(jobs))
-	for i, j := range jobs {
-		key, _ := j.Key()
-		c := sweep.Cell{Key: key, Job: j}
-		if o.Server != "" {
-			if spec, ok := server.JobSpecFor(j); ok {
+	cells := sweep.JobCells(jobs)
+	if o.Server != "" {
+		for i := range cells {
+			if spec, ok := server.JobSpecFor(cells[i].Job); ok {
 				if body, err := json.Marshal(spec); err == nil {
-					c.Body = body
+					cells[i].Body = body
 				}
 			}
 		}
-		cells[i] = c
 	}
 	plan := sweep.NewPlan(cells)
 
@@ -80,7 +77,7 @@ func (o Options) sweep(jobs []runner.Job) []runner.Outcome {
 	}
 	outs := make([]runner.Outcome, len(souts))
 	for i, so := range souts {
-		outs[i] = toRunnerOutcome(so)
+		outs[i] = so.ToRunner()
 	}
 	return outs
 }
@@ -115,23 +112,4 @@ func (p *serverPlacer) Place(ctx context.Context, i int, c sweep.Cell) sweep.Out
 		p.served.Add(1)
 	}
 	return out
-}
-
-// toRunnerOutcome converts a placement outcome back to the runner shape
-// the profile plans and figures consume. Remote cells carry only the
-// summary wire fields (name, strategy, elapsed, energy, transitions,
-// daemon moves) — enough for every normalized figure.
-func toRunnerOutcome(o sweep.Outcome) runner.Outcome {
-	switch {
-	case o.Err != nil:
-		if o.RawErr != nil {
-			return runner.Outcome{Err: o.RawErr}
-		}
-		return runner.Outcome{Err: o.Err}
-	case o.Raw != nil:
-		return runner.Outcome{Result: *o.Raw, Cached: o.Cached}
-	case o.Wire != nil:
-		return runner.Outcome{Result: o.Wire.ToResult(), Cached: o.Cached}
-	}
-	return runner.Outcome{}
 }

@@ -1,4 +1,4 @@
-package runner
+package runner_test
 
 import (
 	"context"
@@ -10,19 +10,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 )
 
 // gridJobs returns one job per static operating point of the default
 // table — five distinct cacheable cells — plus NoDVS for a sixth.
-func gridJobs(t *testing.T) []Job {
+func gridJobs(t *testing.T) []runner.Job {
 	t.Helper()
 	w := ftS(t)
 	cfg := quickCfg()
-	var jobs []Job
+	var jobs []runner.Job
 	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(f), Config: cfg})
 	}
-	jobs = append(jobs, Job{Workload: w, Strategy: core.NoDVS(), Config: cfg})
+	jobs = append(jobs, runner.Job{Workload: w, Strategy: core.NoDVS(), Config: cfg})
 	return jobs
 }
 
@@ -32,9 +33,9 @@ func gridJobs(t *testing.T) []Job {
 func TestEvictionBound(t *testing.T) {
 	jobs := gridJobs(t) // 6 distinct cells
 	const bound = 3
-	r := NewWithOptions(Options{Workers: 1, MaxEntries: bound})
-	outs := r.Sweep(jobs)
-	if err := FirstErr(outs); err != nil {
+	r := runner.NewWithOptions(runner.Options{Workers: 1, MaxEntries: bound})
+	outs := execute(context.Background(), r, jobs)
+	if err := runner.FirstErr(outs); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -61,7 +62,7 @@ func TestEvictionBound(t *testing.T) {
 func TestLRUKeepsRecentlyTouched(t *testing.T) {
 	jobs := gridJobs(t)
 	const bound = 3
-	r := NewWithOptions(Options{Workers: 1, MaxEntries: bound})
+	r := runner.NewWithOptions(runner.Options{Workers: 1, MaxEntries: bound})
 	ctx := context.Background()
 	for _, j := range jobs[:3] { // fill: cells 0,1,2 resident
 		if out := r.Do(ctx, j); out.Err != nil {
@@ -92,9 +93,9 @@ func TestLRUKeepsRecentlyTouched(t *testing.T) {
 func TestPersistenceRoundTrip(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
-	warm := New(2)
-	want := warm.Sweep(jobs)
-	if err := FirstErr(want); err != nil {
+	warm := runner.New(2)
+	want := execute(context.Background(), warm, jobs)
+	if err := runner.FirstErr(want); err != nil {
 		t.Fatal(err)
 	}
 	n, err := warm.SaveCache(path)
@@ -105,7 +106,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("saved %d entries, want %d", n, len(jobs))
 	}
 
-	cold := New(2)
+	cold := runner.New(2)
 	loaded, err := cold.LoadCache(path)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if loaded != n {
 		t.Fatalf("loaded %d entries, want %d", loaded, n)
 	}
-	got := cold.Sweep(jobs)
+	got := execute(context.Background(), cold, jobs)
 	for i := range jobs {
 		if got[i].Err != nil {
 			t.Fatalf("cell %d failed after reload: %v", i, got[i].Err)
@@ -140,15 +141,15 @@ func TestPersistenceRoundTrip(t *testing.T) {
 func TestLoadRespectsBound(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
-	warm := New(1)
-	if err := FirstErr(warm.Sweep(jobs)); err != nil {
+	warm := runner.New(1)
+	if err := runner.FirstErr(execute(context.Background(), warm, jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.SaveCache(path); err != nil {
 		t.Fatal(err)
 	}
 	const bound = 2
-	cold := NewWithOptions(Options{Workers: 1, MaxEntries: bound})
+	cold := runner.NewWithOptions(runner.Options{Workers: 1, MaxEntries: bound})
 	if _, err := cold.LoadCache(path); err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestLoadRespectsBound(t *testing.T) {
 // file is a cold start.
 func TestLoadSkipsGarbageAndMissingFile(t *testing.T) {
 	dir := t.TempDir()
-	if n, err := New(1).LoadCache(filepath.Join(dir, "absent.ndjson")); n != 0 || err != nil {
+	if n, err := runner.New(1).LoadCache(filepath.Join(dir, "absent.ndjson")); n != 0 || err != nil {
 		t.Fatalf("missing snapshot: n=%d err=%v, want cold start", n, err)
 	}
 
 	jobs := gridJobs(t)[:2]
 	path := filepath.Join(dir, "cache.ndjson")
-	warm := New(1)
-	if err := FirstErr(warm.Sweep(jobs)); err != nil {
+	warm := runner.New(1)
+	if err := runner.FirstErr(execute(context.Background(), warm, jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.SaveCache(path); err != nil {
@@ -189,7 +190,7 @@ func TestLoadSkipsGarbageAndMissingFile(t *testing.T) {
 	if err := os.WriteFile(path, mangled, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cold := New(1)
+	cold := runner.New(1)
 	n, err := cold.LoadCache(path)
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +205,13 @@ func TestLoadSkipsGarbageAndMissingFile(t *testing.T) {
 func TestSaveSkipsFailures(t *testing.T) {
 	w := ftS(t)
 	bad := quickCfg()
-	bad.Node.Table = nil                                    // core.Run rejects this
-	r := NewWithOptions(Options{Workers: 1, ErrorTTL: 1e9}) // keep the error resident
-	if out := r.Do(context.Background(), Job{Workload: w, Strategy: core.NoDVS(), Config: bad}); out.Err == nil {
+	bad.Node.Table = nil // core.Run rejects this
+	// A long ErrorTTL keeps the error resident.
+	r := runner.NewWithOptions(runner.Options{Workers: 1, ErrorTTL: 1e9})
+	if out := r.Do(context.Background(), runner.Job{Workload: w, Strategy: core.NoDVS(), Config: bad}); out.Err == nil {
 		t.Fatal("bad config should fail")
 	}
-	if out := r.Do(context.Background(), Job{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()}); out.Err != nil {
+	if out := r.Do(context.Background(), runner.Job{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()}); out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
@@ -236,7 +238,7 @@ func TestConcurrentEvictionCoalescingStress(t *testing.T) {
 		}
 		serial[i] = res
 	}
-	r := NewWithOptions(Options{Workers: 4, MaxEntries: 2})
+	r := runner.NewWithOptions(runner.Options{Workers: 4, MaxEntries: 2})
 	dir := t.TempDir()
 	const goroutines = 8
 	const iters = 24

@@ -1,4 +1,4 @@
-package runner
+package runner_test
 
 import (
 	"context"
@@ -11,18 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
+	"repro/internal/runner"
 )
-
-// swapCoreRun replaces the simulation entry point for the duration of a
-// test. Tests using it must not run in parallel.
-func swapCoreRun(t *testing.T, fn func(npb.Workload, core.Strategy, core.Config) (core.Result, error)) {
-	t.Helper()
-	orig := coreRun
-	coreRun = func(_ context.Context, w npb.Workload, s core.Strategy, c core.Config) (core.Result, error) {
-		return fn(w, s, c)
-	}
-	t.Cleanup(func() { coreRun = orig })
-}
 
 // TestWorkloadBodyPanicNotMemoized is the acceptance scenario: a workload
 // body that panics mid-sweep yields an error outcome for that cell only —
@@ -34,13 +24,13 @@ func TestWorkloadBodyPanicNotMemoized(t *testing.T) {
 	cfg := quickCfg()
 	broken := w
 	broken.Body = func(r *mpisim.Rank) { panic("deliberate body panic") }
-	if _, ok := (Job{Workload: broken, Strategy: core.External(600), Config: cfg}).Key(); !ok {
+	if _, ok := (runner.Job{Workload: broken, Strategy: core.External(600), Config: cfg}).Key(); !ok {
 		t.Fatal("broken workload must stay cacheable (same declared identity)")
 	}
-	bad := Job{Workload: broken, Strategy: core.External(600), Config: cfg}
-	good := Job{Workload: w, Strategy: core.External(800), Config: cfg}
-	r := New(4)
-	outs := r.Sweep([]Job{bad, bad, bad, good}) // duplicates must coalesce and unblock
+	bad := runner.Job{Workload: broken, Strategy: core.External(600), Config: cfg}
+	good := runner.Job{Workload: w, Strategy: core.External(800), Config: cfg}
+	r := runner.New(4)
+	outs := execute(context.Background(), r, []runner.Job{bad, bad, bad, good}) // duplicates must coalesce and unblock
 	for i := 0; i < 3; i++ {
 		if outs[i].Err == nil {
 			t.Fatalf("panicking cell %d returned no error", i)
@@ -55,7 +45,7 @@ func TestWorkloadBodyPanicNotMemoized(t *testing.T) {
 	}
 	// The fixed job shares the broken job's content address; a memoized
 	// failure would be served here instead of a fresh simulation.
-	fixed := Job{Workload: w, Strategy: core.External(600), Config: cfg}
+	fixed := runner.Job{Workload: w, Strategy: core.External(600), Config: cfg}
 	if bk, _ := bad.Key(); func() string { k, _ := fixed.Key(); return k }() != bk {
 		t.Fatal("fixed job must share the broken job's key for this test to mean anything")
 	}
@@ -70,12 +60,12 @@ func TestWorkloadBodyPanicNotMemoized(t *testing.T) {
 
 // TestCoreRunPanicContainedInWorkers injects a panic at the core.Run call
 // site — the calling-goroutine failure mode the sim kernel cannot recover
-// — and asserts sweep workers contain it: the cell gets a *PanicError,
+// — and asserts sweep workers contain it: the cell gets a *runner.PanicError,
 // coalesced waiters unblock, other cells complete, and the process stays
 // up.
 func TestCoreRunPanicContainedInWorkers(t *testing.T) {
 	poison := core.External(800)
-	swapCoreRun(t, func(w npb.Workload, s core.Strategy, c core.Config) (core.Result, error) {
+	runner.SwapCoreRun(t, func(w npb.Workload, s core.Strategy, c core.Config) (core.Result, error) {
 		if s.Kind == poison.Kind && s.Freq == poison.Freq {
 			panic("injected core.Run panic")
 		}
@@ -83,20 +73,20 @@ func TestCoreRunPanicContainedInWorkers(t *testing.T) {
 	})
 	w := ftS(t)
 	cfg := quickCfg()
-	bad := Job{Workload: w, Strategy: poison, Config: cfg}
-	var jobs []Job
+	bad := runner.Job{Workload: w, Strategy: poison, Config: cfg}
+	var jobs []runner.Job
 	jobs = append(jobs, bad, bad, bad) // coalescing waiters on the panicking cell
 	jobs = append(jobs,
-		Job{Workload: w, Strategy: core.External(600), Config: cfg},
-		Job{Workload: w, Strategy: core.External(1000), Config: cfg},
-		Job{Workload: w, Strategy: core.NoDVS(), Config: cfg},
+		runner.Job{Workload: w, Strategy: core.External(600), Config: cfg},
+		runner.Job{Workload: w, Strategy: core.External(1000), Config: cfg},
+		runner.Job{Workload: w, Strategy: core.NoDVS(), Config: cfg},
 	)
-	r := New(4)
-	outs := r.Sweep(jobs)
+	r := runner.New(4)
+	outs := execute(context.Background(), r, jobs)
 	for i := 0; i < 3; i++ {
-		var pe *PanicError
+		var pe *runner.PanicError
 		if !errors.As(outs[i].Err, &pe) {
-			t.Fatalf("cell %d: err = %v, want *PanicError", i, outs[i].Err)
+			t.Fatalf("cell %d: err = %v, want *runner.PanicError", i, outs[i].Err)
 		}
 		if len(pe.Stack) == 0 {
 			t.Fatalf("cell %d: PanicError carries no stack", i)
@@ -112,28 +102,29 @@ func TestCoreRunPanicContainedInWorkers(t *testing.T) {
 		t.Fatalf("recovered panic not counted: %+v", st)
 	}
 	// Heal the injection: the same cell must now run fresh and succeed.
-	swapCoreRun(t, core.Run)
+	runner.SwapCoreRun(t, core.Run)
 	out := r.Do(context.Background(), bad)
 	if out.Err != nil || out.Cached {
 		t.Fatalf("healed cell: err=%v cached=%v, want fresh success", out.Err, out.Cached)
 	}
 }
 
-// TestSerialPanicContained covers the workers<=1 path and the uncacheable
-// path through the same containment.
+// TestSerialPanicContained covers the calling-goroutine path (a lone Do,
+// as dvsd's /simulate issues) and the uncacheable path through the same
+// containment.
 func TestSerialPanicContained(t *testing.T) {
-	swapCoreRun(t, func(npb.Workload, core.Strategy, core.Config) (core.Result, error) {
+	runner.SwapCoreRun(t, func(npb.Workload, core.Strategy, core.Config) (core.Result, error) {
 		panic("serial panic")
 	})
 	w := ftS(t)
 	cfg := quickCfg()
-	r := New(1)
-	if _, err := r.Run(w, core.External(600), cfg); err == nil {
+	r := runner.New(1)
+	if out := r.Do(context.Background(), runner.Job{Workload: w, Strategy: core.External(600), Config: cfg}); out.Err == nil {
 		t.Fatal("panic did not surface as error on the serial path")
 	}
 	uncacheable := w
 	uncacheable.Body = nil // Key() refuses; exec still contains the panic
-	if out := r.Do(context.Background(), Job{Workload: uncacheable, Strategy: core.NoDVS(), Config: cfg}); out.Err == nil {
+	if out := r.Do(context.Background(), runner.Job{Workload: uncacheable, Strategy: core.NoDVS(), Config: cfg}); out.Err == nil {
 		t.Fatal("panic did not surface as error on the uncacheable path")
 	}
 	if st := r.Stats(); st.Panics != 2 {
@@ -147,7 +138,7 @@ func TestSerialPanicContained(t *testing.T) {
 func TestTransientErrorNotPoisoning(t *testing.T) {
 	var mu sync.Mutex
 	failures := 1
-	swapCoreRun(t, func(w npb.Workload, s core.Strategy, c core.Config) (core.Result, error) {
+	runner.SwapCoreRun(t, func(w npb.Workload, s core.Strategy, c core.Config) (core.Result, error) {
 		mu.Lock()
 		if failures > 0 {
 			failures--
@@ -158,8 +149,8 @@ func TestTransientErrorNotPoisoning(t *testing.T) {
 		return core.Run(w, s, c)
 	})
 	w := ftS(t)
-	job := Job{Workload: w, Strategy: core.External(600), Config: quickCfg()}
-	r := New(2)
+	job := runner.Job{Workload: w, Strategy: core.External(600), Config: quickCfg()}
+	r := runner.New(2)
 	if out := r.Do(context.Background(), job); out.Err == nil {
 		t.Fatal("first run should fail")
 	}
@@ -184,14 +175,14 @@ func TestTransientErrorNotPoisoning(t *testing.T) {
 // positive ErrorTTL an error outcome is served from cache until the TTL
 // lapses, then the cell re-runs.
 func TestErrorTTLNegativeCaching(t *testing.T) {
-	swapCoreRun(t, func(npb.Workload, core.Strategy, core.Config) (core.Result, error) {
+	runner.SwapCoreRun(t, func(npb.Workload, core.Strategy, core.Config) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("persistent fault")
 	})
 	w := ftS(t)
-	job := Job{Workload: w, Strategy: core.External(600), Config: quickCfg()}
-	r := NewWithOptions(Options{Workers: 1, ErrorTTL: time.Minute})
+	job := runner.Job{Workload: w, Strategy: core.External(600), Config: quickCfg()}
+	r := runner.NewWithOptions(runner.Options{Workers: 1, ErrorTTL: time.Minute})
 	clock := time.Unix(1000, 0)
-	r.now = func() time.Time { return clock }
+	runner.SetClock(r, func() time.Time { return clock })
 
 	if out := r.Do(context.Background(), job); out.Err == nil || out.Cached {
 		t.Fatalf("first run: err=%v cached=%v", out.Err, out.Cached)
@@ -207,38 +198,5 @@ func TestErrorTTLNegativeCaching(t *testing.T) {
 	st := r.Stats()
 	if st.Runs != 2 || st.Hits != 1 || st.Poisoned != 2 {
 		t.Fatalf("runs=%d hits=%d poisoned=%d, want 2/1/2", st.Runs, st.Hits, st.Poisoned)
-	}
-}
-
-// TestObserverPanicBackstop asserts the worker-level backstop: a
-// panicking streaming observer cannot kill a sweep worker — the sweep
-// still delivers every outcome and the process stays up.
-func TestObserverPanicBackstop(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	var jobs []Job
-	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
-	}
-	for _, workers := range []int{1, 4} {
-		r := New(workers)
-		calls := 0
-		outs := r.SweepFunc(context.Background(), jobs, func(i int, o Outcome) {
-			calls++
-			if calls == 1 {
-				panic("observer blew up")
-			}
-		})
-		if calls < 2 {
-			t.Fatalf("workers=%d: observer panic killed the sweep after %d calls", workers, calls)
-		}
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("workers=%d: cell %d failed: %v", workers, i, o.Err)
-			}
-		}
-		if st := r.Stats(); st.Panics == 0 {
-			t.Fatalf("workers=%d: backstop recovery not counted", workers)
-		}
 	}
 }

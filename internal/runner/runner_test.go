@@ -1,4 +1,4 @@
-package runner
+package runner_test
 
 import (
 	"context"
@@ -10,10 +10,28 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/npb"
+	"repro/internal/runner"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
+// The runner executes one job at a time; these tests drive multi-job
+// grids through the one sweep driver, sweep.Execute over a sweep.Local
+// placer, exactly as reproduce and dvsd do.
+
 func quickCfg() core.Config { return core.DefaultConfig() }
+
+// execute runs jobs through sweep.Execute on r at r's parallelism and
+// returns runner-shaped outcomes in submission order.
+func execute(ctx context.Context, r *runner.Runner, jobs []runner.Job) []runner.Outcome {
+	souts, _ := sweep.Execute(ctx, sweep.NewPlan(sweep.JobCells(jobs)), sweep.Local{Runner: r},
+		sweep.ExecOptions{Parallel: r.Workers()})
+	outs := make([]runner.Outcome, len(souts))
+	for i, o := range souts {
+		outs[i] = o.ToRunner()
+	}
+	return outs
+}
 
 func ftS(t testing.TB) npb.Workload {
 	t.Helper()
@@ -27,7 +45,7 @@ func ftS(t testing.TB) npb.Workload {
 func TestKeyDistinguishesInputs(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	base := Job{Workload: w, Strategy: core.NoDVS(), Config: cfg}
+	base := runner.Job{Workload: w, Strategy: core.NoDVS(), Config: cfg}
 	k0, ok := base.Key()
 	if !ok || k0 == "" {
 		t.Fatal("base job should be cacheable")
@@ -38,7 +56,7 @@ func TestKeyDistinguishesInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []Job{
+	variants := []runner.Job{
 		{Workload: w, Strategy: core.External(600), Config: cfg},
 		{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV11()), Config: cfg},
 		{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV121()), Config: cfg},
@@ -68,8 +86,8 @@ func TestKeyDistinguishesInternalParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg()
-	ka, oka := Job{Workload: a, Strategy: core.NoDVS(), Config: cfg}.Key()
-	kb, okb := Job{Workload: b, Strategy: core.NoDVS(), Config: cfg}.Key()
+	ka, oka := runner.Job{Workload: a, Strategy: core.NoDVS(), Config: cfg}.Key()
+	kb, okb := runner.Job{Workload: b, Strategy: core.NoDVS(), Config: cfg}.Key()
 	if !oka || !okb {
 		t.Fatal("internal variants with declared params should be cacheable")
 	}
@@ -83,22 +101,22 @@ func TestKeyRefusesIncompleteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := (Job{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()}).Key(); ok {
+	if _, ok := (runner.Job{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()}).Key(); ok {
 		t.Fatal("synthetic workload without declared params must be uncacheable")
 	}
 }
 
 // TestSweepMatchesSerial proves the determinism guarantee at the Result
-// level: a parallel sweep returns exactly what per-job serial execution
-// returns, in submission order.
+// level: a parallel sweep over the runner returns exactly what per-job
+// serial execution returns, in submission order.
 func TestSweepMatchesSerial(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	var jobs []Job
+	var jobs []runner.Job
 	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(f), Config: cfg})
 	}
-	jobs = append(jobs, Job{Workload: w, Strategy: core.NoDVS(), Config: cfg})
+	jobs = append(jobs, runner.Job{Workload: w, Strategy: core.NoDVS(), Config: cfg})
 
 	serial := make([]core.Result, len(jobs))
 	for i, j := range jobs {
@@ -109,8 +127,8 @@ func TestSweepMatchesSerial(t *testing.T) {
 		serial[i] = r
 	}
 	for _, workers := range []int{1, 2, 8} {
-		outs := New(workers).Sweep(jobs)
-		if err := FirstErr(outs); err != nil {
+		outs := execute(context.Background(), runner.New(workers), jobs)
+		if err := runner.FirstErr(outs); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range outs {
@@ -126,17 +144,17 @@ func TestSweepMatchesSerial(t *testing.T) {
 func TestRepeatedCellSimulatesOnce(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	job := Job{Workload: w, Strategy: core.External(600), Config: cfg}
-	r := New(4)
-	outs := r.Sweep([]Job{job, job, job, job})
-	if err := FirstErr(outs); err != nil {
+	job := runner.Job{Workload: w, Strategy: core.External(600), Config: cfg}
+	r := runner.New(4)
+	outs := execute(context.Background(), r, []runner.Job{job, job, job, job})
+	if err := runner.FirstErr(outs); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Runs != 1 || st.Hits != 3 {
 		t.Fatalf("after one sweep of 4 identical jobs: runs=%d hits=%d, want 1/3", st.Runs, st.Hits)
 	}
-	if _, err := r.Run(job.Workload, job.Strategy, job.Config); err != nil {
-		t.Fatal(err)
+	if out := r.Do(context.Background(), job); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if st := r.Stats(); st.Runs != 1 || st.Hits != 4 {
 		t.Fatalf("after repeat call: runs=%d hits=%d, want 1/4", st.Runs, st.Hits)
@@ -148,8 +166,9 @@ func TestRepeatedCellSimulatesOnce(t *testing.T) {
 	}
 }
 
-// TestBuildProfileMatchesCore pins the runner's profile assembly to the
-// serial reference implementation in core.
+// TestBuildProfileMatchesCore pins the pipeline's profile assembly —
+// PlanProfile's jobs through sweep.Execute, then Assemble — to the serial
+// reference implementation in core.
 func TestBuildProfileMatchesCore(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
@@ -158,8 +177,12 @@ func TestBuildProfileMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := runner.PlanProfile(w, cfg, daemon)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
-		got, err := New(workers).BuildProfile(w, cfg, daemon)
+		got, err := plan.Assemble(execute(context.Background(), runner.New(workers), plan.Jobs()))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -169,21 +192,39 @@ func TestBuildProfileMatchesCore(t *testing.T) {
 	}
 }
 
+// TestBuildProfilesFlattensAcrossWorkloads concatenates several plans'
+// jobs into one flat sweep, as experiments.BuildProfiles does, and hands
+// each plan its slice of the outcomes back.
 func TestBuildProfilesFlattensAcrossWorkloads(t *testing.T) {
 	cfg := quickCfg()
 	daemon := sched.CPUSpeedV121()
 	var ws []npb.Workload
+	var plans []*runner.ProfilePlan
+	var jobs []runner.Job
 	for _, code := range []string{"EP", "FT"} {
 		w, err := npb.New(code, npb.ClassS, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan, err := runner.PlanProfile(w, cfg, daemon)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ws = append(ws, w)
+		plans = append(plans, plan)
+		jobs = append(jobs, plan.Jobs()...)
 	}
-	r := New(8)
-	profs, err := r.BuildProfiles(ws, cfg, daemon)
-	if err != nil {
-		t.Fatal(err)
+	r := runner.New(8)
+	outs := execute(context.Background(), r, jobs)
+	var profs []core.Profile
+	for _, plan := range plans {
+		n := len(plan.Jobs())
+		prof, err := plan.Assemble(outs[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs = append(profs, prof)
+		outs = outs[n:]
 	}
 	if len(profs) != 2 || profs[0].Workload != ws[0].Name() || profs[1].Workload != ws[1].Name() {
 		t.Fatalf("profiles out of order: %+v", profs)
@@ -198,7 +239,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	w := ftS(t)
 	bad := quickCfg()
 	bad.Node.Table = nil // core.Run must reject this
-	outs := New(2).Sweep([]Job{
+	outs := execute(context.Background(), runner.New(2), []runner.Job{
 		{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()},
 		{Workload: w, Strategy: core.NoDVS(), Config: bad},
 	})
@@ -208,7 +249,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	if outs[1].Err == nil {
 		t.Fatal("bad job should fail")
 	}
-	if FirstErr(outs) != outs[1].Err {
+	if runner.FirstErr(outs) != outs[1].Err {
 		t.Fatal("FirstErr should surface the bad job's error")
 	}
 }
@@ -217,13 +258,13 @@ func TestSweepManyMoreJobsThanWorkers(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
 	freqs := cfg.Node.Table.Frequencies()
-	var jobs []Job
+	var jobs []runner.Job
 	for i := 0; i < 40; i++ {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(freqs[i%len(freqs)]), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(freqs[i%len(freqs)]), Config: cfg})
 	}
-	r := New(3)
-	outs := r.Sweep(jobs)
-	if err := FirstErr(outs); err != nil {
+	r := runner.New(3)
+	outs := execute(context.Background(), r, jobs)
+	if err := runner.FirstErr(outs); err != nil {
 		t.Fatal(err)
 	}
 	// 40 jobs over 5 distinct cells: exactly 5 simulations.
@@ -237,20 +278,20 @@ func TestSweepManyMoreJobsThanWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepContextCancelledUpfront asserts that a sweep submitted with an
+// TestCancelledUpfront asserts that a sweep submitted with an
 // already-cancelled context runs zero simulations: every outcome resolves
 // to ctx.Err() and neither cache nor stats are touched.
-func TestSweepContextCancelledUpfront(t *testing.T) {
+func TestCancelledUpfront(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	var jobs []Job
+	var jobs []runner.Job
 	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(f), Config: cfg})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := New(4)
-	outs := r.SweepContext(ctx, jobs)
+	r := runner.New(4)
+	outs := execute(ctx, r, jobs)
 	if len(outs) != len(jobs) {
 		t.Fatalf("got %d outcomes, want %d", len(outs), len(jobs))
 	}
@@ -264,28 +305,30 @@ func TestSweepContextCancelledUpfront(t *testing.T) {
 	}
 }
 
-// TestSweepFuncCancelMidSweep cancels after the first completed job on the
-// serial path and asserts the remaining queued jobs are skipped, not run.
-func TestSweepFuncCancelMidSweep(t *testing.T) {
+// TestCancelMidSweep cancels from the stream observer after the first
+// completed job of a serial sweep and asserts the remaining queued jobs
+// are skipped, not run.
+func TestCancelMidSweep(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	var jobs []Job
+	var jobs []runner.Job
 	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(f), Config: cfg})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := New(1) // serial: deterministic completion order
-	outs := r.SweepFunc(ctx, jobs, func(i int, o Outcome) {
-		if i == 0 {
-			cancel()
-		}
-	})
+	r := runner.New(1) // serial: deterministic completion order
+	outs, _ := sweep.Execute(ctx, sweep.NewPlan(sweep.JobCells(jobs)), sweep.Local{Runner: r},
+		sweep.ExecOptions{Parallel: 1, OnRecord: func(rec sweep.SweepRecord) {
+			if rec.Index == 0 {
+				cancel()
+			}
+		}})
 	if outs[0].Err != nil {
 		t.Fatalf("job 0 should have completed before cancel: %v", outs[0].Err)
 	}
 	for i := 1; i < len(outs); i++ {
-		if !errors.Is(outs[i].Err, context.Canceled) {
+		if !errors.Is(outs[i].RawErr, context.Canceled) {
 			t.Fatalf("job %d: err=%v, want context.Canceled", i, outs[i].Err)
 		}
 	}
@@ -294,32 +337,33 @@ func TestSweepFuncCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestSweepFuncObserverSeesEveryJobOnce asserts the streaming observer
-// contract: one serialized call per job, with the outcome that lands at
-// that job's submission index.
-func TestSweepFuncObserverSeesEveryJobOnce(t *testing.T) {
+// TestObserverSeesEveryJobOnce asserts the streaming observer contract
+// over a real runner: one serialized call per job, with the record of the
+// outcome that lands at that job's submission index.
+func TestObserverSeesEveryJobOnce(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	var jobs []Job
+	var jobs []runner.Job
 	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(f), Config: cfg})
 	}
 	seen := make([]int, len(jobs))
-	got := make([]Outcome, len(jobs))
-	outs := New(4).SweepFunc(context.Background(), jobs, func(i int, o Outcome) {
-		seen[i]++ // serialized by SweepFunc: no lock needed
-		got[i] = o
-	})
+	got := make([]sweep.SweepRecord, len(jobs))
+	outs, _ := sweep.Execute(context.Background(), sweep.NewPlan(sweep.JobCells(jobs)),
+		sweep.Local{Runner: runner.New(4)}, sweep.ExecOptions{Parallel: 4, OnRecord: func(rec sweep.SweepRecord) {
+			seen[rec.Index]++ // serialized by Execute: no lock needed
+			got[rec.Index] = rec
+		}})
 	for i := range jobs {
 		if seen[i] != 1 {
 			t.Fatalf("job %d observed %d times, want 1", i, seen[i])
 		}
-		if !reflect.DeepEqual(got[i], outs[i]) {
-			t.Fatalf("job %d: observed outcome differs from returned outcome", i)
+		if !reflect.DeepEqual(got[i], outs[i].Record(i)) {
+			t.Fatalf("job %d: observed record differs from returned outcome", i)
 		}
-	}
-	if err := FirstErr(outs); err != nil {
-		t.Fatal(err)
+		if outs[i].Err != nil {
+			t.Fatal(outs[i].Err)
+		}
 	}
 }
 
@@ -329,17 +373,18 @@ func TestSweepFuncObserverSeesEveryJobOnce(t *testing.T) {
 func TestRunContextCancelledWaiterLeavesCacheIntact(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
-	r := New(2)
-	if _, err := r.Run(w, core.External(600), cfg); err != nil {
-		t.Fatal(err)
+	job := runner.Job{Workload: w, Strategy: core.External(600), Config: cfg}
+	r := runner.New(2)
+	if out := r.Do(context.Background(), job); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunContext(ctx, w, core.External(600), cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want context.Canceled", err)
+	if out := r.Do(ctx, job); !errors.Is(out.Err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", out.Err)
 	}
-	if _, err := r.Run(w, core.External(600), cfg); err != nil {
-		t.Fatal(err)
+	if out := r.Do(context.Background(), job); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if st := r.Stats(); st.Runs != 1 || st.Hits != 1 {
 		t.Fatalf("runs=%d hits=%d, want 1/1 (cancelled waiter counts as neither)", st.Runs, st.Hits)
@@ -357,19 +402,19 @@ func TestPropertySweepWorkersInvariance(t *testing.T) {
 	codes := npb.Codes()
 	regs := core.Strategies()
 	cfg := quickCfg()
-	var jobs []Job
+	var jobs []runner.Job
 	for len(jobs) < 14 {
 		w, err := npb.New(codes[rng.Intn(len(codes))], npb.ClassS, []int{1, 2, 4}[rng.Intn(3)])
 		if err != nil {
 			continue // some kernels constrain rank counts; redraw
 		}
-		jobs = append(jobs, Job{Workload: w, Strategy: regs[rng.Intn(len(regs))].Example(), Config: cfg})
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: regs[rng.Intn(len(regs))].Example(), Config: cfg})
 	}
 	jobs = append(jobs, jobs[rng.Intn(len(jobs))], jobs[rng.Intn(len(jobs))])
 
-	ref := New(1).Sweep(jobs)
+	ref := execute(context.Background(), runner.New(1), jobs)
 	for _, workers := range []int{2, 8} {
-		outs := New(workers).Sweep(jobs)
+		outs := execute(context.Background(), runner.New(workers), jobs)
 		for i := range outs {
 			if (outs[i].Err == nil) != (ref[i].Err == nil) {
 				t.Fatalf("workers=%d job %d: err %v vs serial %v", workers, i, outs[i].Err, ref[i].Err)

@@ -54,6 +54,24 @@ func FromRunner(o runner.Outcome) Outcome {
 	return Outcome{Cached: o.Cached, Raw: &r}
 }
 
+// ToRunner converts a placement outcome back to the runner shape profile
+// plans and tables consume. Remote cells carry only the summary wire
+// fields (name, strategy, elapsed, energy, transitions, daemon moves).
+func (o Outcome) ToRunner() runner.Outcome {
+	switch {
+	case o.Err != nil:
+		if o.RawErr != nil {
+			return runner.Outcome{Err: o.RawErr}
+		}
+		return runner.Outcome{Err: o.Err}
+	case o.Raw != nil:
+		return runner.Outcome{Result: *o.Raw, Cached: o.Cached}
+	case o.Wire != nil:
+		return runner.Outcome{Result: o.Wire.ToResult(), Cached: o.Cached}
+	}
+	return runner.Outcome{}
+}
+
 // Placer decides where one cell runs and returns its terminal outcome.
 // i is the cell's submission index (stable across the plan, used for
 // labeling traces); implementations must be safe for concurrent calls.

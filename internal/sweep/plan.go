@@ -65,6 +65,18 @@ func NewPlan(cells []Cell) *Plan {
 	return &Plan{cells: cells, fp: hex.EncodeToString(h.Sum(nil))}
 }
 
+// JobCells wraps in-process jobs as plan cells, each keyed by its
+// Job.Key ("" when uncacheable) and carrying no wire body: the one
+// job→cell conversion for drivers that build their grid as runner jobs.
+func JobCells(jobs []runner.Job) []Cell {
+	cells := make([]Cell, len(jobs))
+	for i, j := range jobs {
+		key, _ := j.Key()
+		cells[i] = Cell{Key: key, Job: j}
+	}
+	return cells
+}
+
 // Len returns the number of cells.
 func (p *Plan) Len() int { return len(p.cells) }
 

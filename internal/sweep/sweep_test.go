@@ -9,6 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/npb"
+	"repro/internal/runner"
 )
 
 // placerFunc adapts a function to the Placer interface.
@@ -120,6 +124,38 @@ func TestExecutePanickingPlacerFailsOnlyItsCell(t *testing.T) {
 	}
 	if outs[0].Err != nil || outs[2].Err != nil {
 		t.Fatalf("neighbor cells failed: %v %v", outs[0].Err, outs[2].Err)
+	}
+}
+
+// TestExecuteCancelledUpfront executes a real grid over sweep.Local on a
+// context cancelled before the sweep starts: every cell comes back as a
+// canceled error record and the runner simulates nothing.
+func TestExecuteCancelledUpfront(t *testing.T) {
+	w, err := npb.FT(npb.ClassS, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	var jobs []runner.Job
+	for _, f := range cfg.Node.Table.Frequencies() {
+		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.External(f), Config: cfg})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := runner.New(2)
+	var recs []SweepRecord
+	outs, sum := Execute(ctx, NewPlan(JobCells(jobs)), Local{Runner: r},
+		ExecOptions{Parallel: 2, OnRecord: func(rec SweepRecord) { recs = append(recs, rec) }})
+	if len(outs) != len(jobs) || len(recs) != len(jobs) || sum.Errors != len(jobs) {
+		t.Fatalf("%d outcomes, %d records, %d errors; want %d of each", len(outs), len(recs), sum.Errors, len(jobs))
+	}
+	for _, rec := range recs {
+		if rec.Error == nil || rec.Error.Code != CodeCanceled {
+			t.Fatalf("cell %d: record error %v, want code %q", rec.Index, rec.Error, CodeCanceled)
+		}
+	}
+	if st := r.Stats(); st.Runs != 0 {
+		t.Fatalf("cancelled sweep ran %d simulations, want 0", st.Runs)
 	}
 }
 
