@@ -43,10 +43,7 @@ func (r *Rank) Barrier() {
 			dst := (r.id + dist) % n
 			src := (r.id - dist + n) % n
 			tag := r.collTag(round)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, 0)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.exchange(dst, src, tag, 0)
 		}
 		r.nextColl()
 	})
@@ -115,10 +112,7 @@ func (r *Rank) Allreduce(bytes int) {
 		for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 			partner := r.id ^ dist
 			tag := r.collTag(round)
-			rreq := r.Irecv(partner, tag)
-			sreq := r.Isend(partner, tag, bytes)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.exchange(partner, partner, tag, bytes)
 		}
 		r.nextColl()
 	})
@@ -162,10 +156,7 @@ func (r *Rank) Alltoall(bytesPerPair int) {
 			dst := (r.id + i) % n
 			src := (r.id - i + n) % n
 			tag := r.collTag(i)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, bytesPerPair)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.exchange(dst, src, tag, bytesPerPair)
 		}
 		r.nextColl()
 	})
@@ -194,6 +185,7 @@ func (r *Rank) Alltoallv(bytesTo []int) {
 			reqs = append(reqs, r.Isend(dst, r.collTag(0), bytesTo[dst]))
 		}
 		r.WaitAll(reqs...)
+		r.world.recycle(reqs...)
 		r.nextColl()
 	})
 }
@@ -212,6 +204,7 @@ func (r *Rank) Gather(root, bytes int) {
 				reqs = append(reqs, r.Irecv(src, r.collTag(0)))
 			}
 			r.WaitAll(reqs...)
+			r.world.recycle(reqs...)
 		} else {
 			r.Send(root, r.collTag(0), bytes)
 		}

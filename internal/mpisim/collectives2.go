@@ -17,10 +17,7 @@ func (r *Rank) Allgather(bytes int) {
 		prev := (r.id - 1 + n) % n
 		for step := 0; step < n-1; step++ {
 			tag := r.collTag(step)
-			rreq := r.Irecv(prev, tag)
-			sreq := r.Isend(next, tag, bytes)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.exchange(next, prev, tag, bytes)
 		}
 		r.nextColl()
 	})
@@ -65,10 +62,7 @@ func (r *Rank) ReduceScatter(bytes int) {
 			dst := (r.id + step) % n
 			src := (r.id - step + n) % n
 			tag := r.collTag(step)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, bytes)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.exchange(dst, src, tag, bytes)
 		}
 		r.nextColl()
 	})

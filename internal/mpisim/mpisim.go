@@ -154,6 +154,9 @@ type World struct {
 	// splits/commSeq implement MPI_Comm_split (see comm.go).
 	splits  map[int]*splitState
 	commSeq int
+	// freeRequests/freeDeliveries recycle message objects (pool.go).
+	freeRequests   []*Request
+	freeDeliveries []*delivery
 	// FinishedAt records each rank's completion time of the launched
 	// program; Elapsed() is their max.
 	finishedAt []sim.Time

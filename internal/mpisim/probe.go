@@ -25,9 +25,8 @@ func (r *Rank) Probe(src, tag int) int {
 			return bytes
 		}
 		// Park until any delivery arrives, then re-check the match.
-		q := r.world.k.NewQueue(fmt.Sprintf("probe.r%d", r.id))
-		r.probeWaiters = append(r.probeWaiters, q)
-		r.waitSpan(q)
+		r.watching = true
+		r.waitSpan()
 	}
 }
 
@@ -48,21 +47,16 @@ func (r *Rank) WaitAny(reqs ...*Request) int {
 				return i
 			}
 		}
-		q := r.world.k.NewQueue(fmt.Sprintf("waitany.r%d", r.id))
-		r.anyWaiters = append(r.anyWaiters, q)
-		r.waitSpan(q)
+		r.watching = true
+		r.waitSpan()
 	}
 }
 
-// notifyWatchers wakes probe/waitany parkers after a delivery or request
-// completion.
+// notifyWatchers unparks a rank waiting in Probe or WaitAny after a
+// delivery or request completion.
 func (r *Rank) notifyWatchers() {
-	for _, q := range r.probeWaiters {
-		q.Broadcast()
+	if r.watching {
+		r.watching = false
+		r.proc.Unpark()
 	}
-	r.probeWaiters = r.probeWaiters[:0]
-	for _, q := range r.anyWaiters {
-		q.Broadcast()
-	}
-	r.anyWaiters = r.anyWaiters[:0]
 }

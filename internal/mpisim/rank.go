@@ -23,10 +23,9 @@ type Rank struct {
 	collSeq int // per-rank collective sequence number for internal tags
 	// commColl tracks per-communicator collective sequences (comm.go).
 	commColl map[int]int
-	// probeWaiters/anyWaiters park Probe and WaitAny callers until the
-	// next delivery or completion (probe.go).
-	probeWaiters []*sim.Queue
-	anyWaiters   []*sim.Queue
+	// watching is set while the rank is parked in Probe or WaitAny, to be
+	// unparked by its next delivery or request completion (probe.go).
+	watching bool
 	// sendSeq/recvSeq implement the CheckOrdering verifier: the next
 	// sequence number per destination / the last matched per source.
 	sendSeq map[int]uint64
@@ -50,7 +49,28 @@ type Request struct {
 	// recv matching state (recv requests only)
 	isRecv   bool
 	src, tag int
-	q        *sim.Queue
+	// waiter is the owner's proc while it is parked in Wait on this
+	// request: a request has no other waiter, so it needs no queue.
+	waiter *sim.Proc
+	// sent is req.sendDone bound once, so a recycled request schedules
+	// its Isend completion without allocating a closure.
+	sent func()
+}
+
+// complete marks req done and unparks its owner if it waits on it.
+func (req *Request) complete() {
+	req.done = true
+	if p := req.waiter; p != nil {
+		req.waiter = nil
+		p.Unpark()
+	}
+}
+
+// sendDone completes an Isend once its data is on the wire (eager) or
+// delivered (rendezvous).
+func (req *Request) sendDone() {
+	req.complete()
+	req.owner.notifyWatchers()
 }
 
 // ID returns the rank number.
@@ -148,12 +168,11 @@ func (r *Rank) waitActivity() dvs.Activity {
 	return a
 }
 
-// waitSpan blocks on q at communication-wait activity.
-func (r *Rank) waitSpan(q *sim.Queue) {
+// waitSpan parks the rank at communication-wait activity until a request
+// completion or a delivery unparks it.
+func (r *Rank) waitSpan() {
 	start := r.Now()
-	r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
-		q.Wait(r.proc)
-	})
+	r.node.Span(r.waitActivity(), r.waitVisibility(), r.proc.Park)
 	r.stats.Wait += r.Now().Sub(start)
 }
 
@@ -162,7 +181,17 @@ func (r *Rank) waitSpan(q *sim.Queue) {
 // (eager) or delivered (rendezvous, above the eager limit).
 func (r *Rank) Send(dst, tag, bytes int) {
 	start := r.Now()
-	r.isend(dst, tag, bytes, true)
+	txDone, completeAt := r.post(dst, tag, bytes)
+	// Uplink serialization: the CPU streams the data out.
+	r.transferSpan(txDone)
+	if completeAt > r.Now() {
+		// Rendezvous tail: waiting for the receiver to drain.
+		startW := r.Now()
+		r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
+			r.proc.Sleep(completeAt.Sub(startW))
+		})
+		r.stats.Wait += r.Now().Sub(startW)
+	}
 	r.world.emit(r.id, EvSend, "send", start, r.Now(), bytes, dst)
 }
 
@@ -171,12 +200,26 @@ func (r *Rank) Send(dst, tag, bytes int) {
 // background.
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
 	start := r.Now()
-	req := r.isend(dst, tag, bytes, false)
+	_, completeAt := r.post(dst, tag, bytes)
+	req := r.world.newRequest(r)
+	req.bytes = bytes
+	if completeAt <= r.Now() {
+		req.done = true
+	} else {
+		if req.sent == nil {
+			req.sent = req.sendDone
+		}
+		r.world.k.At(completeAt, req.sent)
+	}
 	r.world.emit(r.id, EvSend, "isend", start, r.Now(), bytes, dst)
 	return req
 }
 
-func (r *Rank) isend(dst, tag, bytes int, blocking bool) *Request {
+// post charges the send-side CPU overhead, puts the message on the wire
+// and schedules its delivery at dst. It returns when the uplink is free
+// and when the send completes: txDone for eager messages, the arrival for
+// rendezvous ones.
+func (r *Rank) post(dst, tag, bytes int) (txDone, completeAt sim.Time) {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("rank %d: send to invalid rank %d", r.id, dst))
 	}
@@ -204,39 +247,13 @@ func (r *Rank) isend(dst, tag, bytes int, blocking bool) *Request {
 		r.sendSeq[dst]++
 		msg.seq = r.sendSeq[dst]
 	}
-	dstRank := w.ranks[dst]
-	w.k.At(arrive, func() { dstRank.deliver(msg) })
-
-	req := &Request{owner: r, bytes: bytes}
-	completeAt := txDone
+	d := w.newDelivery()
+	d.dst, d.msg = w.ranks[dst], msg
+	w.k.At(arrive, d.fire)
 	if bytes > w.cfg.EagerLimit {
-		completeAt = arrive // rendezvous
+		return txDone, arrive // rendezvous
 	}
-	if blocking {
-		// Uplink serialization: the CPU streams the data out.
-		r.transferSpan(txDone)
-		if completeAt > r.Now() {
-			// Rendezvous tail: waiting for the receiver to drain.
-			startW := r.Now()
-			r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
-				r.proc.Sleep(completeAt.Sub(startW))
-			})
-			r.stats.Wait += r.Now().Sub(startW)
-		}
-		req.done = true
-		return req
-	}
-	if completeAt <= r.Now() {
-		req.done = true
-		return req
-	}
-	req.q = w.k.NewQueue(fmt.Sprintf("isend.r%d", r.id))
-	w.k.At(completeAt, func() {
-		req.done = true
-		req.q.Broadcast()
-		r.notifyWatchers()
-	})
-	return req
+	return txDone, txDone
 }
 
 // deliver matches an arriving message against posted receives, else
@@ -246,11 +263,10 @@ func (r *Rank) deliver(m message) {
 	for i, req := range r.posted {
 		if req.matches(m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			req.done = true
 			req.bytes = m.bytes
 			req.src = m.src
 			req.seq = m.seq
-			req.q.Broadcast()
+			req.complete()
 			return
 		}
 	}
@@ -267,7 +283,8 @@ func (r *Rank) Irecv(src, tag int) *Request {
 	if src != AnySource && (src < 0 || src >= r.Size()) {
 		panic(fmt.Sprintf("rank %d: recv from invalid rank %d", r.id, src))
 	}
-	req := &Request{owner: r, isRecv: true, src: src, tag: tag}
+	req := r.world.newRequest(r)
+	req.isRecv, req.src, req.tag = true, src, tag
 	// Match already-delivered messages first (arrival order).
 	for i, m := range r.mailbox {
 		if req.matches(m) {
@@ -279,7 +296,6 @@ func (r *Rank) Irecv(src, tag int) *Request {
 			return req
 		}
 	}
-	req.q = r.world.k.NewQueue(fmt.Sprintf("irecv.r%d", r.id))
 	r.posted = append(r.posted, req)
 	return req
 }
@@ -292,7 +308,8 @@ func (r *Rank) Wait(req *Request) int {
 	}
 	start := r.Now()
 	if !req.done {
-		r.waitSpan(req.q)
+		req.waiter = r.proc
+		r.waitSpan()
 		if !req.done {
 			panic(fmt.Sprintf("rank %d: woke with incomplete request", r.id))
 		}
@@ -335,7 +352,9 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 // Recv blocks until a matching message is received; it returns the size.
 func (r *Rank) Recv(src, tag int) int {
 	start := r.Now()
-	n := r.Wait(r.Irecv(src, tag))
+	req := r.Irecv(src, tag)
+	n := r.Wait(req)
+	r.world.recycle(req)
 	r.world.emit(r.id, EvRecv, "recv", start, r.Now(), n, src)
 	return n
 }
@@ -344,8 +363,15 @@ func (r *Rank) Recv(src, tag int) int {
 // src), overlapping the two directions like MPI_Sendrecv.
 func (r *Rank) SendRecv(dst, sendBytes, src, recvBytes, tag int) {
 	_ = recvBytes // size is announced by the incoming message itself
+	r.exchange(dst, src, tag, sendBytes)
+}
+
+// exchange is SendRecv's body, shared with the collectives' pairwise
+// rounds. Its requests never leave mpisim, so they are recycled.
+func (r *Rank) exchange(dst, src, tag, bytes int) {
 	rreq := r.Irecv(src, tag)
-	sreq := r.Isend(dst, tag, sendBytes)
+	sreq := r.Isend(dst, tag, bytes)
 	r.Wait(sreq)
 	r.Wait(rreq)
+	r.world.recycle(sreq, rreq)
 }

@@ -51,6 +51,7 @@ func (c ThermalConfig) Validate() error {
 // thermalState integrates die temperature over piecewise-constant power.
 type thermalState struct {
 	cfg ThermalConfig
+	tau float64 // cfg.TimeConstant in seconds
 	// tempC is the die temperature at the last integration point.
 	tempC float64
 	// maxC and the time-weighted integral track the summary statistics.
@@ -63,7 +64,7 @@ type thermalState struct {
 }
 
 func newThermalState(cfg ThermalConfig) *thermalState {
-	return &thermalState{cfg: cfg, tempC: cfg.AmbientC, maxC: cfg.AmbientC}
+	return &thermalState{cfg: cfg, tau: cfg.TimeConstant.Seconds(), tempC: cfg.AmbientC, maxC: cfg.AmbientC}
 }
 
 // advance integrates a span of dt at constant CPU power watts.
@@ -71,8 +72,7 @@ func (t *thermalState) advance(watts float64, dt time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	sec := dt.Seconds()
-	tau := t.cfg.TimeConstant.Seconds()
+	sec, tau := dt.Seconds(), t.tau
 	tss := t.cfg.AmbientC + watts*t.cfg.ResistanceCPerW
 	// Exact exponential relaxation toward the steady state.
 	alpha := math.Exp(-sec / tau)
@@ -87,12 +87,60 @@ func (t *thermalState) advance(watts float64, dt time.Duration) {
 	}
 	// ∫T dt over the exponential segment has a closed form:
 	// ∫(tss + (t0−tss)e^(−s/τ))ds = tss·sec + (t0−tss)·τ·(1−α).
-	t.integralC += tss*sec + (t0-tss)*tau*(1-alpha)
+	seg := tss*sec + (t0-tss)*tau*(1-alpha)
+	t.integralC += seg
 	// Life consumption: approximate the segment with its mean temperature
 	// (the doubling-per-10°C curve is smooth at phase scale).
-	meanT := (tss*sec + (t0-tss)*tau*(1-alpha)) / sec
-	t.lifeUse += sec * math.Pow(2, (meanT-t.cfg.ReferenceC)/10)
+	t.lifeUse += sec * pow2((seg/sec-t.cfg.ReferenceC)/10)
 	t.total += dt
+}
+
+// ln2 and sqrt2 are the values math.Pow(2, y) computes on every call.
+var ln2, sqrt2 = math.Log(2), math.Sqrt(2)
+
+// pow2 returns 2**y with the same bits as math.Pow(2, y): it is Pow's own
+// algorithm with the base fixed at 2. Pow splits |y| into an integer part
+// and a fraction in (−½, ½], takes exp(fraction·ln 2), scales by the
+// integer power of two (exact, since the base is 2), inverts for y < 0 and
+// finishes with Ldexp. Only the Log(2) per call and the repeated-squaring
+// loop are gone.
+func pow2(y float64) float64 {
+	switch {
+	case y == 0:
+		return 1
+	case y == 1:
+		return 2
+	case math.IsNaN(y):
+		return math.NaN()
+	case math.IsInf(y, 1):
+		return math.Inf(1)
+	case math.IsInf(y, -1):
+		return 0
+	case y == 0.5:
+		return sqrt2
+	case y == -0.5:
+		return 1 / sqrt2
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	if yi >= 1<<63 {
+		// An even integer far past the float64 range.
+		if y > 0 {
+			return math.Inf(1)
+		}
+		return 0
+	}
+	a := 1.0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a = math.Exp(yf * ln2)
+	}
+	if y < 0 {
+		return math.Ldexp(1/a, -int(yi))
+	}
+	return math.Ldexp(a, int(yi))
 }
 
 // ThermalStats summarizes a node's thermal history.

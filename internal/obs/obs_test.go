@@ -121,7 +121,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-zz",
-		"01-" + sp.TraceID() + "-" + sp.SpanID() + "-01",              // unknown version
+		"01-" + sp.TraceID() + "-" + sp.SpanID() + "-01",             // unknown version
 		"00-00000000000000000000000000000000-" + sp.SpanID() + "-01", // zero trace id
 		"00-" + sp.TraceID() + "-0000000000000000-01",                // zero span id
 		"00-" + strings.ToUpper(sp.TraceID()) + "-" + sp.SpanID() + "-01",

@@ -97,6 +97,39 @@ func TestQueueWaitSignalAllocFree(t *testing.T) {
 	}
 }
 
+// TestParkUnparkAllocFree pins the single-waiter wake path mpisim
+// requests use: with the event freelist warm, a Park→Unpark→resume cycle
+// performs zero heap allocations (there is no ring to grow at all).
+func TestParkUnparkAllocFree(t *testing.T) {
+	k := NewKernel()
+	const warmup, runs = 8, 1000
+	const rounds = warmup + runs + 1
+	parker := k.Spawn("parker", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Park()
+		}
+	})
+	k.At(MaxTime-1, func() {})
+	unpark := parker.Unpark
+	at := Time(0)
+	step := func() {
+		at = at.Add(time.Microsecond)
+		k.At(at, unpark)
+		if err := k.Run(at + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Fatalf("Park/Unpark cycle allocates %.1f objects, want 0", allocs)
+	}
+	if err := k.Run(MaxTime); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
 // TestSleepInterruptibleAllocFree pins the interruptible sleep path
 // (schedule → yield → park → channel resume) at zero allocations.
 func TestSleepInterruptibleAllocFree(t *testing.T) {

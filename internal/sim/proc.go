@@ -30,6 +30,8 @@ type Proc struct {
 	pendingWake *event
 	// queue is the wait queue this proc is blocked on, if any.
 	queue *Queue
+	// parked is set while the proc is blocked in Park and not yet Unparked.
+	parked bool
 	// interruptible marks whether the current block may be interrupted.
 	interruptible bool
 	// done is set after the body returns.
@@ -182,8 +184,39 @@ func (p *Proc) Interrupt() bool {
 	return true
 }
 
-// Hold parks the proc until another proc wakes it through a Queue; it is a
-// building block used by Queue and rarely called directly.
+// Park blocks the proc until another proc or an At callback calls Unpark
+// on it. It is the single-waiter form of Queue.Wait: when exactly one
+// known proc can be waiting on a condition, the condition keeps that
+// *Proc in a slot instead of allocating a Queue. Park cannot be
+// interrupted.
+func (p *Proc) Park() {
+	p.parked = true
+	p.hold(nil, false)
+}
+
+// Unpark releases a proc blocked in Park, scheduling it to resume at the
+// current virtual time exactly as Queue.Signal releases a waiter. It
+// panics if p is not parked (running, sleeping, waiting on a Queue, done,
+// or already unparked).
+func (p *Proc) Unpark() {
+	if !p.parked {
+		panic(fmt.Sprintf("sim: Unpark of proc %q that is not parked", p.name))
+	}
+	p.parked = false
+	p.wakeNow()
+}
+
+// wakeNow schedules the blocked proc to resume at the current virtual
+// time; it is how Queue.Signal and Unpark release a waiter.
+func (p *Proc) wakeNow() {
+	ev := p.k.alloc()
+	ev.t, ev.proc = p.k.now, p
+	p.k.schedule(ev)
+	p.pendingWake = ev
+}
+
+// hold blocks the proc until another proc wakes it through a Queue or
+// Unpark; it is the building block of Queue.Wait and Park.
 func (p *Proc) hold(q *Queue, interruptible bool) error {
 	p.queue = q
 	p.interruptible = interruptible

@@ -79,10 +79,7 @@ func (q *Queue) Signal() bool {
 	q.waiters[q.head] = nil
 	q.head = (q.head + 1) & (len(q.waiters) - 1)
 	q.n--
-	ev := q.k.alloc()
-	ev.t, ev.proc = q.k.now, p
-	q.k.schedule(ev)
-	p.pendingWake = ev
+	p.wakeNow()
 	return true
 }
 

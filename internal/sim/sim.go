@@ -245,8 +245,8 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 func (k *Kernel) Err() error { return k.err }
 
 // DeadlockError is returned by Run when the event heap drains while procs
-// are still blocked on queues: they are waiting for signals that can never
-// arrive.
+// are still blocked on queues or parked: they are waiting for signals that
+// can never arrive.
 type DeadlockError struct {
 	Time    Time
 	Blocked []string // names of blocked procs
@@ -407,6 +407,7 @@ func (k *Kernel) abortAll() {
 		if p.queue != nil {
 			p.queue.remove(p)
 		}
+		p.parked = false
 		k.running = p
 		p.wake <- wakeAborted
 		<-k.done
