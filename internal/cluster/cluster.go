@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/dvs"
 	"repro/internal/mpisim"
 	"repro/internal/netsim"
 	"repro/internal/node"
@@ -50,15 +49,6 @@ func NEMO(nodes int) Config {
 		Net:   netsim.DefaultConfig(nodes),
 		MPI:   mpisim.DefaultConfig(),
 	}
-}
-
-// Instrumented returns NEMO with the full PowerPack instrumentation.
-func Instrumented(nodes int) Config {
-	c := NEMO(nodes)
-	c.Instrument = true
-	c.Battery = powerpack.DefaultBattery()
-	c.CollectPeriod = time.Second
-	return c
 }
 
 // Cluster is an assembled machine, ready to launch one MPI program.
@@ -154,16 +144,6 @@ func (c *Cluster) Collector() *powerpack.Collector { return c.collector }
 // Size returns the node count.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
-// SetAllFrequencies applies a homogeneous EXTERNAL setting before a run.
-func (c *Cluster) SetAllFrequencies(f dvs.MHz) error {
-	for _, n := range c.nodes {
-		if err := n.SetFrequency(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Run launches body on every rank, drives the simulation to completion,
 // and returns the elapsed virtual time. When instrumented, the PowerPack
 // meter brackets the run.
@@ -199,15 +179,6 @@ func (c *Cluster) Energy() float64 {
 		total += n.Energy().Total()
 	}
 	return total
-}
-
-// EnergyByNode returns each node's itemized energy.
-func (c *Cluster) EnergyByNode() []node.Energy {
-	out := make([]node.Energy, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.Energy()
-	}
-	return out
 }
 
 // Transitions sums DVS transitions across the cluster.

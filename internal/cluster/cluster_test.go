@@ -60,31 +60,21 @@ func TestRunSimplProgram(t *testing.T) {
 	if c.Energy() <= 0 {
 		t.Fatal("no energy")
 	}
-	if got := c.EnergyByNode(); len(got) != 4 {
-		t.Fatalf("per-node energy %d", len(got))
+	var sum float64
+	for i := 0; i < c.Size(); i++ {
+		sum += c.Node(i).Energy().Total()
 	}
-}
-
-func TestSetAllFrequencies(t *testing.T) {
-	c, err := New(NEMO(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetAllFrequencies(800); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range c.Nodes() {
-		if n.Frequency() != 800 {
-			t.Fatalf("node %d at %v", n.ID, n.Frequency())
-		}
-	}
-	if c.Transitions() != 3 {
-		t.Fatalf("transitions = %d", c.Transitions())
+	if sum != c.Energy() {
+		t.Fatalf("per-node energy sums to %v, cluster reports %v", sum, c.Energy())
 	}
 }
 
 func TestInstrumentedMeasurement(t *testing.T) {
-	c, err := New(Instrumented(2))
+	cfg := NEMO(2)
+	cfg.Instrument = true
+	cfg.Battery = powerpack.DefaultBattery()
+	cfg.CollectPeriod = time.Second
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +154,13 @@ func TestPowerJitterVariesNodes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	energies := c.EnergyByNode()
+	energies := make([]float64, c.Size())
+	for i := range energies {
+		energies[i] = c.Node(i).Energy().Total()
+	}
 	allEqual := true
 	for _, e := range energies[1:] {
-		if e.Total() != energies[0].Total() {
+		if e != energies[0] {
 			allEqual = false
 		}
 	}
@@ -175,14 +168,9 @@ func TestPowerJitterVariesNodes(t *testing.T) {
 		t.Fatal("jittered nodes consumed identical energy")
 	}
 	// Variation is bounded by the jitter magnitude.
-	lo, hi := energies[0].Total(), energies[0].Total()
+	lo, hi := energies[0], energies[0]
 	for _, e := range energies {
-		if e.Total() < lo {
-			lo = e.Total()
-		}
-		if e.Total() > hi {
-			hi = e.Total()
-		}
+		lo, hi = min(lo, e), max(hi, e)
 	}
 	if hi/lo > 1.15 {
 		t.Fatalf("jitter spread too wide: %.1f..%.1f", lo, hi)
@@ -195,8 +183,8 @@ func TestPowerJitterVariesNodes(t *testing.T) {
 	if _, err := c2.Run("load", func(r *mpisim.Rank) { r.Compute(1400 * 10) }); err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range c2.EnergyByNode() {
-		if e.Total() != energies[i].Total() {
+	for i, e := range energies {
+		if c2.Node(i).Energy().Total() != e {
 			t.Fatal("jitter not deterministic")
 		}
 	}

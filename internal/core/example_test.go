@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 )
 
@@ -28,15 +29,16 @@ func ExampleRun() {
 	// Output: FT at 600 MHz: delay 1.12, energy 0.59
 }
 
-// ExampleRun_custom assembles a synthetic workload from the phase DSL and
-// runs it on the simulated cluster.
+// ExampleRun_custom runs a hand-written workload on the simulated
+// cluster: Body is the program every rank executes.
 func ExampleRun_custom() {
-	w, err := npb.Custom("DEMO", 4,
-		npb.LoopOp(2, npb.ComputeOp(140), npb.AlltoallOp(10000)),
-	)
-	if err != nil {
-		panic(err)
-	}
+	w := npb.Workload{Code: "DEMO", Class: npb.ClassC, Ranks: 4, Variant: "custom",
+		Body: func(r *mpisim.Rank) {
+			for i := 0; i < 2; i++ {
+				r.Compute(140)
+				r.Alltoall(10000)
+			}
+		}}
 	r, err := core.Run(w, core.NoDVS(), core.DefaultConfig())
 	if err != nil {
 		panic(err)

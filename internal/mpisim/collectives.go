@@ -1,15 +1,21 @@
 package mpisim
 
-import "repro/internal/sim"
+import "math/bits"
 
 // Collective algorithms over point-to-point, matching the classic MPICH
 // implementations. Every rank of the world must call the same collectives
 // in the same order; per-rank sequence numbers generate matching internal
 // tags (negative, so they never collide with application tags ≥ 0).
 
+// MaxRanks is the largest world NewWorld accepts. It is also the number
+// of tag rounds collTag reserves per collective: Alltoall uses rounds
+// 1..n−1, so in a larger world its tail rounds would reuse the next
+// collective's tags.
+const MaxRanks = 64
+
 // collTag returns the internal tag for collective seq/round.
 func (r *Rank) collTag(round int) int {
-	return -(1 + r.collSeq*64 + round)
+	return -(1 + r.collSeq*MaxRanks + round)
 }
 
 // nextColl advances the per-rank collective sequence (call once per
@@ -49,62 +55,15 @@ func (r *Rank) Barrier() {
 	})
 }
 
-// Bcast broadcasts bytes from root via a binomial tree.
-func (r *Rank) Bcast(root, bytes int) {
-	n := r.Size()
-	r.emitColl("bcast", bytes, func() {
-		if n == 1 {
-			return
-		}
-		// Relative rank with root mapped to 0.
-		rel := (r.id - root + n) % n
-		// Receive from parent (highest set bit), then forward to children.
-		if rel != 0 {
-			parentRel := rel &^ (1 << (bitLen(rel) - 1))
-			parent := (parentRel + root) % n
-			r.Recv(parent, r.collTag(0))
-		}
-		for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
-			child := (rel + dist + root) % n
-			r.Send(child, r.collTag(0), bytes)
-		}
-		r.nextColl()
-	})
-}
-
-// Reduce combines bytes from every rank at root (binomial tree, leaves
-// inward). The reduction compute itself is charged by the caller's
-// workload model; this models only the message traffic.
-func (r *Rank) Reduce(root, bytes int) {
-	n := r.Size()
-	r.emitColl("reduce", bytes, func() {
-		if n == 1 {
-			return
-		}
-		rel := (r.id - root + n) % n
-		for dist := 1; dist < n; dist *= 2 {
-			if rel&dist != 0 {
-				parent := (rel - dist + root) % n
-				r.Send(parent, r.collTag(dist), bytes)
-				break
-			}
-			if rel+dist < n {
-				child := (rel + dist + root) % n
-				r.Recv(child, r.collTag(dist))
-			}
-		}
-		r.nextColl()
-	})
-}
-
 // Allreduce combines bytes across all ranks (recursive doubling for
-// power-of-two worlds; fall back to Reduce+Bcast otherwise).
+// power-of-two worlds; fall back to a binomial reduce to rank 0 and a
+// binomial broadcast back otherwise).
 func (r *Rank) Allreduce(bytes int) {
 	n := r.Size()
 	if n&(n-1) != 0 {
 		r.emitColl("allreduce", bytes, func() {
-			r.reduceNoEmit(0, bytes)
-			r.bcastNoEmit(0, bytes)
+			r.reduceToRoot(bytes)
+			r.bcastFromRoot(bytes)
 		})
 		return
 	}
@@ -118,30 +77,33 @@ func (r *Rank) Allreduce(bytes int) {
 	})
 }
 
-func (r *Rank) reduceNoEmit(root, bytes int) {
+// reduceToRoot combines bytes from every rank at rank 0 (binomial tree,
+// leaves inward). The reduction compute itself is charged by the caller's
+// workload model; this models only the message traffic.
+func (r *Rank) reduceToRoot(bytes int) {
 	n := r.Size()
-	rel := (r.id - root + n) % n
 	for dist := 1; dist < n; dist *= 2 {
-		if rel&dist != 0 {
-			r.Send((rel-dist+root)%n, r.collTag(dist), bytes)
+		if r.id&dist != 0 {
+			r.Send(r.id-dist, r.collTag(dist), bytes)
 			break
 		}
-		if rel+dist < n {
-			r.Recv((rel+dist+root)%n, r.collTag(dist))
+		if r.id+dist < n {
+			r.Recv(r.id+dist, r.collTag(dist))
 		}
 	}
 	r.nextColl()
 }
 
-func (r *Rank) bcastNoEmit(root, bytes int) {
+// bcastFromRoot broadcasts bytes from rank 0 via a binomial tree: receive
+// from the parent (the rank with the highest set bit cleared), then
+// forward to the children.
+func (r *Rank) bcastFromRoot(bytes int) {
 	n := r.Size()
-	rel := (r.id - root + n) % n
-	if rel != 0 {
-		parentRel := rel &^ (1 << (bitLen(rel) - 1))
-		r.Recv((parentRel+root)%n, r.collTag(0))
+	if r.id != 0 {
+		r.Recv(r.id&^(1<<(bits.Len(uint(r.id))-1)), r.collTag(0))
 	}
-	for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
-		r.Send((rel+dist+root)%n, r.collTag(0), bytes)
+	for dist := nextPow2(r.id + 1); r.id+dist < n; dist *= 2 {
+		r.Send(r.id+dist, r.collTag(0), bytes)
 	}
 	r.nextColl()
 }
@@ -188,46 +150,6 @@ func (r *Rank) Alltoallv(bytesTo []int) {
 		r.world.recycle(reqs...)
 		r.nextColl()
 	})
-}
-
-// Gather collects bytes from every rank at root (flat tree, as in small
-// MPICH gathers).
-func (r *Rank) Gather(root, bytes int) {
-	n := r.Size()
-	r.emitColl("gather", bytes, func() {
-		if r.id == root {
-			reqs := make([]*Request, 0, n-1)
-			for src := 0; src < n; src++ {
-				if src == root {
-					continue
-				}
-				reqs = append(reqs, r.Irecv(src, r.collTag(0)))
-			}
-			r.WaitAll(reqs...)
-			r.world.recycle(reqs...)
-		} else {
-			r.Send(root, r.collTag(0), bytes)
-		}
-		r.nextColl()
-	})
-}
-
-// WaitUntil idles the rank until absolute time t (used by tests and
-// synthetic workloads).
-func (r *Rank) WaitUntil(t sim.Time) {
-	if t <= r.Now() {
-		return
-	}
-	r.proc.Sleep(t.Sub(r.Now()))
-}
-
-func bitLen(x int) int {
-	n := 0
-	for x > 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 func nextPow2(x int) int {

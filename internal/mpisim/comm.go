@@ -93,9 +93,6 @@ func (c *Comm) Rank(r *Rank) int {
 	return -1
 }
 
-// WorldRank translates a comm rank to the world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
-
 // commTag derives collective tags unique to this communicator.
 func (c *Comm) commTag(r *Rank, round int) int {
 	return -(1_000_000 + c.id*4096 + r.commColl[c.id]*64 + round)
@@ -116,21 +113,6 @@ func (c *Comm) member(r *Rank) int {
 		panic(fmt.Sprintf("mpisim: rank %d not in communicator", r.id))
 	}
 	return i
-}
-
-// Barrier synchronizes the communicator's members (dissemination).
-func (c *Comm) Barrier(r *Rank) {
-	me := c.member(r)
-	n := c.Size()
-	r.emitColl("comm-barrier", 0, func() {
-		for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-			dst := c.members[(me+dist)%n]
-			src := c.members[(me-dist+n)%n]
-			tag := c.commTag(r, round)
-			r.exchange(dst, src, tag, 0)
-		}
-		c.nextColl(r)
-	})
 }
 
 // Allreduce combines bytes across the communicator (recursive doubling
@@ -166,25 +148,6 @@ func (c *Comm) Allreduce(r *Rank, bytes int) {
 			}
 			if me < extra {
 				r.Send(c.members[me+p2], tag(33), bytes)
-			}
-		}
-		c.nextColl(r)
-	})
-}
-
-// Bcast broadcasts bytes from the comm-rank root over a binomial tree.
-func (c *Comm) Bcast(r *Rank, root, bytes int) {
-	me := c.member(r)
-	n := c.Size()
-	r.emitColl("comm-bcast", bytes, func() {
-		if n > 1 {
-			rel := (me - root + n) % n
-			if rel != 0 {
-				parentRel := rel &^ (1 << (bitLen(rel) - 1))
-				r.Recv(c.members[(parentRel+root)%n], c.commTag(r, 0))
-			}
-			for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
-				r.Send(c.members[(rel+dist+root)%n], c.commTag(r, 0), bytes)
 			}
 		}
 		c.nextColl(r)

@@ -3,12 +3,13 @@
 // MPICH-like semantics and costs.
 //
 // Supported operations: blocking and nonblocking point-to-point
-// (Send/Recv/Isend/Irecv/Wait/WaitAll/SendRecv), and the collectives the
-// NAS Parallel Benchmarks use (Barrier, Bcast, Reduce, Allreduce,
-// Alltoall, Alltoallv), implemented over point-to-point with the classic
-// binomial/recursive-doubling/pairwise algorithms so their cost structure
-// (rounds × (overhead + latency + bandwidth)) emerges from the network
-// model rather than being asserted.
+// (Send/Recv/Isend/Irecv/Wait/WaitAll/SendRecv), the collectives the NAS
+// Parallel Benchmark models use (Barrier, Allreduce, Alltoall, Alltoallv)
+// and Split with a communicator Allreduce (CG's row reductions). They are
+// implemented over point-to-point with the classic dissemination,
+// binomial, recursive-doubling and pairwise algorithms so their cost
+// structure (rounds × (overhead + latency + bandwidth)) emerges from the
+// network model rather than being asserted.
 //
 // Cost model per message: the sender pays a CPU software overhead (cycles,
 // so it scales with DVS frequency), occupies its uplink for the wire time,
@@ -167,6 +168,9 @@ type World struct {
 func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []*node.Node, cfg Config) (*World, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("mpisim: empty world")
+	}
+	if len(nodes) > MaxRanks {
+		return nil, fmt.Errorf("mpisim: %d ranks exceeds the maximum of %d", len(nodes), MaxRanks)
 	}
 	if net.Config().Nodes < len(nodes) {
 		return nil, fmt.Errorf("mpisim: network has %d ports for %d ranks", net.Config().Nodes, len(nodes))

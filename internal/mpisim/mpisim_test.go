@@ -57,6 +57,18 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(k, net, nodes[:2], cfg); err == nil {
 		t.Error("negative overhead accepted")
 	}
+	// Collective tags reserve MaxRanks rounds per collective.
+	big := make([]*node.Node, MaxRanks+1)
+	for i := range big {
+		big[i] = node.MustNew(k, i, node.DefaultConfig())
+	}
+	bigNet := netsim.MustNew(k, netsim.DefaultConfig(len(big)))
+	if _, err := NewWorld(k, bigNet, big, DefaultConfig()); err == nil {
+		t.Errorf("%d-rank world accepted", len(big))
+	}
+	if _, err := NewWorld(k, bigNet, big[:MaxRanks], DefaultConfig()); err != nil {
+		t.Errorf("%d-rank world rejected: %v", MaxRanks, err)
+	}
 }
 
 func TestDoubleLaunchRejected(t *testing.T) {
@@ -277,7 +289,7 @@ func TestBcastReachesAll(t *testing.T) {
 		k, w := world(t, n)
 		done := make([]bool, n)
 		launch(t, k, w, func(r *Rank) {
-			r.Bcast(0, 4096)
+			r.bcastFromRoot(4096)
 			done[r.ID()] = true
 		})
 		for i, d := range done {
@@ -285,18 +297,21 @@ func TestBcastReachesAll(t *testing.T) {
 				t.Fatalf("n=%d: rank %d did not complete bcast", n, i)
 			}
 		}
+		// A tree reaches every non-root rank with exactly one message.
+		if st := w.net.Stats(); st.Bytes != int64(n-1)*4096 {
+			t.Fatalf("n=%d: bcast moved %d bytes, want %d", n, st.Bytes, (n-1)*4096)
+		}
 	}
-}
-
-func TestBcastNonzeroRoot(t *testing.T) {
-	k, w := world(t, 5)
-	launch(t, k, w, func(r *Rank) { r.Bcast(3, 1024) })
 }
 
 func TestReduceCompletes(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 9} {
 		k, w := world(t, n)
-		launch(t, k, w, func(r *Rank) { r.Reduce(0, 64) })
+		launch(t, k, w, func(r *Rank) { r.reduceToRoot(64) })
+		// Every non-root rank sends its contribution exactly once.
+		if st := w.net.Stats(); st.Bytes != int64(n-1)*64 {
+			t.Fatalf("n=%d: reduce moved %d bytes, want %d", n, st.Bytes, (n-1)*64)
+		}
 	}
 }
 
@@ -343,14 +358,6 @@ func TestAlltoallvSizeMismatchPanics(t *testing.T) {
 	}
 	if err := k.Run(sim.MaxTime); err == nil {
 		t.Fatal("size mismatch not rejected")
-	}
-}
-
-func TestGather(t *testing.T) {
-	k, w := world(t, 6)
-	launch(t, k, w, func(r *Rank) { r.Gather(2, 512) })
-	if st := w.net.Stats(); st.Bytes != 5*512 {
-		t.Fatalf("gather moved %d bytes", st.Bytes)
 	}
 }
 
@@ -590,10 +597,11 @@ func TestEagerLimitBoundary(t *testing.T) {
 func TestZeroByteCollectivesEverywhere(t *testing.T) {
 	k, w := world(t, 5)
 	launch(t, k, w, func(r *Rank) {
-		r.Bcast(0, 0)
+		r.Barrier()
 		r.Allreduce(0)
 		r.Alltoall(0)
-		r.Allgather(0)
+		r.Alltoallv(make([]int, 5))
+		r.Split(1, r.ID()%2).Allreduce(r, 0)
 	})
 	_ = k
 }

@@ -23,9 +23,6 @@ type Rank struct {
 	collSeq int // per-rank collective sequence number for internal tags
 	// commColl tracks per-communicator collective sequences (comm.go).
 	commColl map[int]int
-	// watching is set while the rank is parked in Probe or WaitAny, to be
-	// unparked by its next delivery or request completion (probe.go).
-	watching bool
 	// sendSeq/recvSeq implement the CheckOrdering verifier: the next
 	// sequence number per destination / the last matched per source.
 	sendSeq map[int]uint64
@@ -50,9 +47,9 @@ type Request struct {
 	isRecv   bool
 	src, tag int
 	// waiter is the owner's proc while it is parked in Wait on this
-	// request: a request has no other waiter, so it needs no queue.
+	// request; a request has no other waiter.
 	waiter *sim.Proc
-	// sent is req.sendDone bound once, so a recycled request schedules
+	// sent is req.complete bound once, so a recycled request schedules
 	// its Isend completion without allocating a closure.
 	sent func()
 }
@@ -64,13 +61,6 @@ func (req *Request) complete() {
 		req.waiter = nil
 		p.Unpark()
 	}
-}
-
-// sendDone completes an Isend once its data is on the wire (eager) or
-// delivered (rendezvous).
-func (req *Request) sendDone() {
-	req.complete()
-	req.owner.notifyWatchers()
 }
 
 // ID returns the rank number.
@@ -169,7 +159,7 @@ func (r *Rank) waitActivity() dvs.Activity {
 }
 
 // waitSpan parks the rank at communication-wait activity until a request
-// completion or a delivery unparks it.
+// completion unparks it.
 func (r *Rank) waitSpan() {
 	start := r.Now()
 	r.node.Span(r.waitActivity(), r.waitVisibility(), r.proc.Park)
@@ -207,7 +197,7 @@ func (r *Rank) Isend(dst, tag, bytes int) *Request {
 		req.done = true
 	} else {
 		if req.sent == nil {
-			req.sent = req.sendDone
+			req.sent = req.complete
 		}
 		r.world.k.At(completeAt, req.sent)
 	}
@@ -259,7 +249,6 @@ func (r *Rank) post(dst, tag, bytes int) (txDone, completeAt sim.Time) {
 // deliver matches an arriving message against posted receives, else
 // enqueues it. Runs inside a kernel At callback.
 func (r *Rank) deliver(m message) {
-	defer r.notifyWatchers()
 	for i, req := range r.posted {
 		if req.matches(m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)

@@ -41,61 +41,6 @@ func TestWaitNotWokenByOtherRequest(t *testing.T) {
 	}
 }
 
-// WaitAny wakes on an Isend completing, not only on a delivery.
-func TestWaitAnyWakesOnIsendCompletion(t *testing.T) {
-	k, w := world(t, 2)
-	const big = 1 << 20
-	var idx int
-	launch(t, k, w, func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			reqs := []*Request{r.Irecv(1, 9), r.Isend(1, 4, big)}
-			idx = r.WaitAny(reqs...)
-			r.Wait(reqs[0])
-		case 1:
-			r.Recv(0, 4)
-			r.Proc().Sleep(time.Second)
-			r.Send(0, 9, 8)
-		}
-	})
-	if idx != 1 {
-		t.Fatalf("WaitAny returned %d, want 1 (the Isend completes first)", idx)
-	}
-}
-
-// Probe wakes on every delivery and completion, re-checks its match and
-// parks again when it is not the message it waits for.
-func TestProbeReparksOnNonMatchingEvents(t *testing.T) {
-	k, w := world(t, 3)
-	const big = 1 << 20
-	var probed int
-	var at time.Duration
-	launch(t, k, w, func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			s := r.Isend(1, 7, big) // completes while rank 0 probes
-			probed = r.Probe(2, 5)
-			at = time.Duration(r.Now())
-			r.Recv(2, 6)
-			r.Recv(2, 5)
-			r.Wait(s)
-		case 1:
-			r.Recv(0, 7)
-		case 2:
-			r.Proc().Sleep(time.Second)
-			r.Send(0, 6, 111) // wrong tag: wakes the probe, no match
-			r.Proc().Sleep(time.Second)
-			r.Send(0, 5, 222)
-		}
-	})
-	if probed != 222 {
-		t.Fatalf("Probe returned %d bytes, want 222 (the tag-5 message)", probed)
-	}
-	if at < 2*time.Second {
-		t.Fatalf("Probe returned at %v, before the tag-5 message was sent", at)
-	}
-}
-
 // Requests mpisim waits on itself are recycled; a Request handed to the
 // caller is not, so it still reads as its own operation after the world
 // has recycled many others.

@@ -71,10 +71,10 @@ type Workload struct {
 	// Params captures any builder parameters beyond code/class/ranks that
 	// the Body closure bakes in (e.g. "1400/600" for FTInternal's
 	// high/low speeds). It completes the workload's value identity: two
-	// workloads with equal ID() run identically. Builders whose extra
-	// parameters cannot be summarized (e.g. synthetic op lists) must
-	// leave a non-empty Variant with empty Params, which marks the
-	// workload as non-content-addressable (see ID).
+	// workloads with equal ID() run identically. A workload whose Body
+	// bakes in parameters that cannot be summarized (e.g. a hand-written
+	// synthetic rank body) must leave a non-empty Variant with empty
+	// Params, which marks it as non-content-addressable (see ID).
 	Params string
 	// Body is the per-rank program.
 	Body func(r *mpisim.Rank)

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/dvs"
+	"repro/internal/mpisim"
 	"repro/internal/spec"
 )
 
@@ -131,6 +132,9 @@ func (s Spec) Build() (Workload, error) {
 	}
 	if ranks < 0 {
 		return Workload{}, spec.Errorf("ranks", "must be positive, got %d", ranks)
+	}
+	if ranks > mpisim.MaxRanks {
+		return Workload{}, spec.Errorf("ranks", "at most %d, got %d", mpisim.MaxRanks, ranks)
 	}
 	high, low := dvs.MHz(s.HighMHz), dvs.MHz(s.LowMHz)
 	if high == 0 {

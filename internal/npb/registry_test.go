@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/spec"
 )
@@ -85,6 +86,7 @@ func TestSpecFieldRejections(t *testing.T) {
 		{"bad class", npb.Spec{Code: "FT", Class: "Q"}, "class"},
 		{"long class", npb.Spec{Code: "FT", Class: "CC"}, "class"},
 		{"negative ranks", npb.Spec{Code: "FT", Ranks: -1}, "ranks"},
+		{"too many ranks", npb.Spec{Code: "FT", Ranks: mpisim.MaxRanks + 1}, "ranks"},
 		{"bad variant", npb.Spec{Code: "FT", Variant: "turbo"}, "variant"},
 	}
 	for _, tc := range cases {

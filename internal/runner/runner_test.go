@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -97,10 +98,8 @@ func TestKeyDistinguishesInternalParams(t *testing.T) {
 }
 
 func TestKeyRefusesIncompleteIdentity(t *testing.T) {
-	w, err := npb.Custom("SYNTH", 2, npb.ComputeOp(1), npb.BarrierOp())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := npb.Workload{Code: "SYNTH", Class: npb.ClassC, Ranks: 2, Variant: "custom",
+		Body: func(r *mpisim.Rank) { r.Compute(1); r.Barrier() }}
 	if _, ok := (runner.Job{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()}).Key(); ok {
 		t.Fatal("synthetic workload without declared params must be uncacheable")
 	}

@@ -58,7 +58,7 @@ func (s SweepRequest) Cells(maxJobs int) ([]Cell, error) {
 				"top-level config applies only to the grid form; set it per job")
 		}
 		if len(s.Jobs) > maxJobs {
-			return nil, Errf(statusTooLarge, CodeTooManyJobs, "jobs",
+			return nil, sweep.TooManyJobs("jobs",
 				"%d jobs exceeds the per-request bound of %d", len(s.Jobs), maxJobs)
 		}
 		cells := make([]Cell, len(s.Jobs))
@@ -73,7 +73,7 @@ func (s SweepRequest) Cells(maxJobs int) ([]Cell, error) {
 	case len(s.Workloads) > 0 && len(s.Strategies) > 0:
 		n := len(s.Workloads) * len(s.Strategies)
 		if n > maxJobs {
-			return nil, Errf(statusTooLarge, CodeTooManyJobs, "workloads",
+			return nil, sweep.TooManyJobs("workloads",
 				"%d×%d grid = %d jobs exceeds the per-request bound of %d",
 				len(s.Workloads), len(s.Strategies), n, maxJobs)
 		}

@@ -371,8 +371,8 @@ func TestSweepShapeValidation(t *testing.T) {
 		{"both forms", `{"jobs":[` + simFTS2 + `],"workloads":[{"code":"FT"}],"strategies":[{"kind":"nodvs"}]}`, 400, CodeInvalidSweep},
 		{"grid missing strategies", `{"workloads":[{"code":"FT"}]}`, 400, CodeInvalidSweep},
 		{"config on explicit jobs", `{"jobs":[` + simFTS2 + `],"config":{"spin_wait":true}}`, 400, CodeInvalidSweep},
-		{"too many explicit", `{"jobs":[` + simFTS2 + `,` + simFTS2 + `,` + simFTS2 + `]}`, statusTooLarge, CodeTooManyJobs},
-		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, statusTooLarge, CodeTooManyJobs},
+		{"too many explicit", `{"jobs":[` + simFTS2 + `,` + simFTS2 + `,` + simFTS2 + `]}`, http.StatusRequestEntityTooLarge, CodeTooManyJobs},
+		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, http.StatusRequestEntityTooLarge, CodeTooManyJobs},
 		{"bad nested job", `{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}]}`, 400, CodeInvalidStrategy},
 	}
 	for _, tc := range cases {

@@ -211,6 +211,3 @@ type SweepRequest struct {
 	Config     *ConfigSpec    `json:"config,omitempty"`
 	TimeoutMS  float64        `json:"timeout_ms,omitempty"`
 }
-
-// statusTooLarge is the HTTP status for an over-bound sweep.
-const statusTooLarge = 413 // http.StatusRequestEntityTooLarge

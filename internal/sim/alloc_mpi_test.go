@@ -21,9 +21,8 @@ import (
 // ranks, and nothing is left to allocate: a blocking Send builds no
 // Request, each Recv's Request and each message's delivery event come
 // from the world's freelists, a waiting rank parks in a slot on its
-// Request rather than on a wait queue, every kernel event comes from the
-// kernel freelist, and every proc switch is a direct continuation handoff
-// (or no switch at all).
+// Request, every kernel event comes from the kernel freelist, and every
+// proc switch is a direct continuation handoff (or no switch at all).
 const pingPongAllocBudget = 0
 
 // memStatsSlack covers the allocations runtime.ReadMemStats itself makes

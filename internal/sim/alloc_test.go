@@ -35,71 +35,9 @@ func TestScheduleHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestSignalHotPathAllocFree covers the proc wake path Queue.Signal uses:
-// recycled events keep it allocation-free too.
-func TestSignalHotPathAllocFree(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	const rounds = 2000
-	k.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			q.Wait(p)
-		}
-	})
-	at := Time(0)
-	for i := 0; i < rounds; i++ {
-		at = at.Add(time.Microsecond)
-		k.At(at, func() { q.Signal() })
-	}
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQueueWaitSignalAllocFree pins the queue wake path: once the waiter
-// ring and the event freelist are warm, a full Wait→Signal→resume cycle
-// performs zero heap allocations. The ring (head-index, power-of-two)
-// replaced a shifting slice; this assertion keeps both the ring and the
-// direct-handoff resume path allocation-free.
-func TestQueueWaitSignalAllocFree(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	const warmup, runs = 8, 1000
-	// AllocsPerRun invokes f runs+1 times (one warm-up call); the waiter
-	// must consume exactly every signal and then exit so the final Run
-	// can drain cleanly. A miscount fails loudly as a deadlock.
-	const rounds = warmup + runs + 1
-	k.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			q.Wait(p)
-		}
-	})
-	// A far-future sentinel keeps the deadlock detector quiet while the
-	// waiter is parked between bounded Run calls.
-	k.At(MaxTime-1, func() {})
-	sig := func() { q.Signal() }
-	at := Time(0)
-	step := func() {
-		at = at.Add(time.Microsecond)
-		k.At(at, sig)
-		if err := k.Run(at + 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < warmup; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
-		t.Fatalf("Wait/Signal cycle allocates %.1f objects, want 0", allocs)
-	}
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-}
-
 // TestParkUnparkAllocFree pins the single-waiter wake path mpisim
 // requests use: with the event freelist warm, a Park→Unpark→resume cycle
-// performs zero heap allocations (there is no ring to grow at all).
+// performs zero heap allocations.
 func TestParkUnparkAllocFree(t *testing.T) {
 	k := NewKernel()
 	const warmup, runs = 8, 1000

@@ -23,31 +23,27 @@ func TestParkResumesAtUnparkTime(t *testing.T) {
 	}
 }
 
-// TestUnparkOrdersLikeSignal checks that Unpark and Queue.Signal schedule
-// the same kind of wake: releases at one instant resume in the order they
-// were issued, whichever primitive issued them.
-func TestUnparkOrdersLikeSignal(t *testing.T) {
+// TestUnparkResumesInUnparkOrder checks that procs unparked at one
+// instant resume in the order the Unparks were issued, not in the order
+// they parked.
+func TestUnparkResumesInUnparkOrder(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
 	var order []string
-	parker := k.Spawn("parker", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			p.Park()
-			order = append(order, "parker")
-		}
-	})
-	k.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			q.Wait(p)
-			order = append(order, "waiter")
-		}
-	})
-	k.At(Time(1e9), func() { parker.Unpark(); q.Signal() })
-	k.At(Time(2e9), func() { q.Signal(); parker.Unpark() })
+	mk := func(name string) *Proc {
+		return k.Spawn(name, func(p *Proc) {
+			for i := 0; i < 2; i++ {
+				p.Park()
+				order = append(order, name)
+			}
+		})
+	}
+	a, b := mk("a"), mk("b")
+	k.At(Time(1e9), func() { a.Unpark(); b.Unpark() })
+	k.At(Time(2e9), func() { b.Unpark(); a.Unpark() })
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if got, want := strings.Join(order, ","), "parker,waiter,waiter,parker"; got != want {
+	if got, want := strings.Join(order, ","), "a,b,b,a"; got != want {
 		t.Fatalf("wake order %s, want %s", got, want)
 	}
 }
@@ -72,19 +68,15 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 func TestUnparkNotParkedPanics(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
 	sleeper := k.Spawn("sleeper", func(p *Proc) { p.Sleep(5 * time.Second) })
-	waiter := k.Spawn("waiter", func(p *Proc) { q.Wait(p) })
 	parker := k.Spawn("parker", func(p *Proc) { p.Park() })
 	k.Spawn("self", func(p *Proc) {
 		mustPanic(t, "running proc", p.Unpark)
 	})
 	k.At(Time(1e9), func() {
 		mustPanic(t, "sleeping proc", sleeper.Unpark)
-		mustPanic(t, "queue waiter", waiter.Unpark)
 		parker.Unpark()
 		mustPanic(t, "already unparked", parker.Unpark)
-		q.Signal()
 	})
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatalf("run: %v", err)

@@ -16,7 +16,7 @@ var errAborted = errors.New("sim: aborted")
 
 // Proc is a simulated process. A Proc's body function runs cooperatively:
 // it executes only between the kernel's event dispatches, and yields
-// whenever it calls a blocking primitive (Sleep, Queue.Wait, ...).
+// whenever it calls a blocking primitive (Sleep, Park, ...).
 //
 // A Proc must only be used from its own body function, except for
 // Interrupt, which other procs (or kernel At callbacks) may call.
@@ -28,8 +28,6 @@ type Proc struct {
 	// pendingWake is the timer event that will resume this proc, if it is
 	// sleeping; Interrupt cancels it.
 	pendingWake *event
-	// queue is the wait queue this proc is blocked on, if any.
-	queue *Queue
 	// parked is set while the proc is blocked in Park and not yet Unparked.
 	parked bool
 	// interruptible marks whether the current block may be interrupted.
@@ -77,7 +75,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 		}
 		p.done = true
 		delete(p.k.procs, p)
-		p.k.tracef("proc %s: exit", p.name)
 		if aborting {
 			// Hand the baton back to the abort coordinator (abortAll).
 			p.k.done <- struct{}{}
@@ -93,7 +90,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 	if kind == wakeAborted {
 		return
 	}
-	p.k.tracef("proc %s: start", p.name)
 	fn(p)
 }
 
@@ -162,10 +158,9 @@ func (p *Proc) SleepInterruptible(d Duration) (elapsed Duration, err error) {
 	return elapsed, nil
 }
 
-// Interrupt wakes p immediately if it is blocked in an interruptible
-// primitive (SleepInterruptible or Queue.WaitInterruptible). It reports
-// whether an interrupt was delivered. Interrupting a proc that is running,
-// done, or in a non-interruptible block is a no-op.
+// Interrupt wakes p immediately if it is blocked in SleepInterruptible. It
+// reports whether an interrupt was delivered. Interrupting a proc that is
+// running, done, or in a non-interruptible block is a no-op.
 func (p *Proc) Interrupt() bool {
 	if p.done || !p.interruptible || p.k.running == p {
 		return false
@@ -173,9 +168,6 @@ func (p *Proc) Interrupt() bool {
 	if p.pendingWake != nil {
 		p.pendingWake.canceled = true
 		p.pendingWake = nil
-	}
-	if p.queue != nil {
-		p.queue.remove(p)
 	}
 	ev := p.k.alloc()
 	ev.t, ev.proc, ev.kind = p.k.now, p, wakeInterrupted
@@ -185,46 +177,23 @@ func (p *Proc) Interrupt() bool {
 }
 
 // Park blocks the proc until another proc or an At callback calls Unpark
-// on it. It is the single-waiter form of Queue.Wait: when exactly one
-// known proc can be waiting on a condition, the condition keeps that
-// *Proc in a slot instead of allocating a Queue. Park cannot be
-// interrupted.
+// on it. A condition that exactly one known proc can be waiting on keeps
+// that *Proc in a slot and parks it. Park cannot be interrupted.
 func (p *Proc) Park() {
 	p.parked = true
-	p.hold(nil, false)
+	p.yield()
 }
 
 // Unpark releases a proc blocked in Park, scheduling it to resume at the
-// current virtual time exactly as Queue.Signal releases a waiter. It
-// panics if p is not parked (running, sleeping, waiting on a Queue, done,
-// or already unparked).
+// current virtual time. It panics if p is not parked (running, sleeping,
+// done, or already unparked).
 func (p *Proc) Unpark() {
 	if !p.parked {
 		panic(fmt.Sprintf("sim: Unpark of proc %q that is not parked", p.name))
 	}
 	p.parked = false
-	p.wakeNow()
-}
-
-// wakeNow schedules the blocked proc to resume at the current virtual
-// time; it is how Queue.Signal and Unpark release a waiter.
-func (p *Proc) wakeNow() {
 	ev := p.k.alloc()
 	ev.t, ev.proc = p.k.now, p
 	p.k.schedule(ev)
 	p.pendingWake = ev
-}
-
-// hold blocks the proc until another proc wakes it through a Queue or
-// Unpark; it is the building block of Queue.Wait and Park.
-func (p *Proc) hold(q *Queue, interruptible bool) error {
-	p.queue = q
-	p.interruptible = interruptible
-	kind := p.yield()
-	p.interruptible = false
-	p.queue = nil
-	if kind == wakeInterrupted {
-		return ErrInterrupted
-	}
-	return nil
 }

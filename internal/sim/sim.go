@@ -3,7 +3,7 @@
 //
 // The kernel owns a virtual clock and an event heap. Simulated activities
 // are written as ordinary Go functions ("procs") that call blocking
-// primitives such as Sleep and Queue.Wait; under the hood each proc runs in
+// primitives such as Sleep and Park; under the hood each proc runs in
 // its own goroutine, but the kernel guarantees that exactly one goroutine
 // (the Run caller or a single proc) executes at any instant, so
 // simulations are fully deterministic: same program, same seed, same result.
@@ -62,14 +62,14 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 type wakeKind int
 
 const (
-	wakeNormal      wakeKind = iota // timer fired or Signal delivered
+	wakeNormal      wakeKind = iota // timer fired or Unpark delivered
 	wakeInterrupted                 // another proc called Interrupt
 	wakeAborted                     // kernel is shutting down after an error
 )
 
 // event is a single entry in the kernel's event heap. Exactly one of proc
 // or fn is set: proc events resume a blocked proc, fn events run a callback
-// inside the kernel loop (used for Signal delivery and At callbacks).
+// inside the kernel loop (used for At callbacks).
 // Events are pooled per kernel (see Kernel.alloc/release): the simulator's
 // hottest path is schedule→pop, and recycling events through a freelist
 // keeps it allocation-free in steady state.
@@ -157,7 +157,6 @@ type Kernel struct {
 	// cbPanic records a panic raised by an At callback while the loop was
 	// running; Run re-raises it in its caller after aborting the procs.
 	cbPanic *callbackPanic
-	trace   func(t Time, format string, args ...any)
 }
 
 // callbackPanic carries an At-callback panic from whichever goroutine ran
@@ -206,16 +205,6 @@ func (k *Kernel) release(e *event) {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// SetTrace installs a debug trace sink invoked on proc lifecycle events.
-// Pass nil to disable.
-func (k *Kernel) SetTrace(fn func(t Time, format string, args ...any)) { k.trace = fn }
-
-func (k *Kernel) tracef(format string, args ...any) {
-	if k.trace != nil {
-		k.trace(k.now, format, args...)
-	}
-}
-
 // schedule inserts an event at absolute time t.
 func (k *Kernel) schedule(e *event) *event {
 	if e.t < k.now {
@@ -228,7 +217,7 @@ func (k *Kernel) schedule(e *event) *event {
 }
 
 // At schedules fn to run inside the kernel loop at time t. fn must not
-// block; it may spawn procs, signal queues, and schedule further events.
+// block; it may spawn procs, unpark procs, and schedule further events.
 func (k *Kernel) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: At with nil fn")
@@ -245,8 +234,7 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 func (k *Kernel) Err() error { return k.err }
 
 // DeadlockError is returned by Run when the event heap drains while procs
-// are still blocked on queues or parked: they are waiting for signals that
-// can never arrive.
+// are still parked: they are waiting for an Unpark that can never arrive.
 type DeadlockError struct {
 	Time    Time
 	Blocked []string // names of blocked procs
@@ -403,9 +391,6 @@ func (k *Kernel) abortAll() {
 		if p.pendingWake != nil {
 			p.pendingWake.canceled = true
 			p.pendingWake = nil
-		}
-		if p.queue != nil {
-			p.queue.remove(p)
 		}
 		p.parked = false
 		k.running = p

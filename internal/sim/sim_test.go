@@ -144,76 +144,9 @@ func TestRunUntilLimit(t *testing.T) {
 	}
 }
 
-func TestQueueSignalFIFO(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var order []string
-	mk := func(name string) {
-		k.Spawn(name, func(p *Proc) {
-			q.Wait(p)
-			order = append(order, name)
-		})
-	}
-	mk("w0")
-	mk("w1")
-	mk("w2")
-	k.At(Time(1e9), func() {
-		if q.Len() != 3 {
-			t.Errorf("queue len = %d, want 3", q.Len())
-		}
-		q.Signal()
-		q.Signal()
-		q.Signal()
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []string{"w0", "w1", "w2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}
-
-func TestQueueBroadcast(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	released := 0
-	for i := 0; i < 5; i++ {
-		k.Spawn("w", func(p *Proc) {
-			q.Wait(p)
-			released++
-		})
-	}
-	k.At(Time(1e9), func() {
-		if n := q.Broadcast(); n != 5 {
-			t.Errorf("broadcast released %d, want 5", n)
-		}
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if released != 5 {
-		t.Fatalf("released = %d", released)
-	}
-}
-
-func TestSignalEmptyQueue(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	if q.Signal() {
-		t.Fatal("Signal on empty queue returned true")
-	}
-	if n := q.Broadcast(); n != 0 {
-		t.Fatalf("Broadcast on empty queue = %d", n)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("never")
-	k.Spawn("stuck", func(p *Proc) { q.Wait(p) })
+	k.Spawn("stuck", func(p *Proc) { p.Park() })
 	err := k.Run(MaxTime)
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -231,8 +164,7 @@ func TestProcPanicPropagates(t *testing.T) {
 		panic("kapow")
 	})
 	// A second proc that would otherwise run forever must be unwound.
-	q := k.NewQueue("q")
-	k.Spawn("victim", func(p *Proc) { q.Wait(p) })
+	k.Spawn("victim", func(p *Proc) { p.Park() })
 	err := k.Run(MaxTime)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -288,13 +220,21 @@ func TestInterruptNonInterruptibleIsNoop(t *testing.T) {
 	target = k.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(5 * time.Second)
 	})
-	delivered := true
-	k.At(Time(1e9), func() { delivered = target.Interrupt() })
+	parked := k.Spawn("parked", func(p *Proc) { p.Park() })
+	delivered, parkDelivered := true, true
+	k.At(Time(1e9), func() {
+		delivered = target.Interrupt()
+		parkDelivered = parked.Interrupt()
+		parked.Unpark()
+	})
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered {
 		t.Fatal("Interrupt on plain Sleep should be a no-op")
+	}
+	if parkDelivered {
+		t.Fatal("Interrupt on Park should be a no-op")
 	}
 }
 
@@ -308,26 +248,6 @@ func TestInterruptDoneProcIsNoop(t *testing.T) {
 	})
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-}
-
-func TestQueueWaitInterruptible(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var werr error
-	var target *Proc
-	target = k.Spawn("waiter", func(p *Proc) {
-		werr = q.WaitInterruptible(p)
-	})
-	k.At(Time(1e9), func() { target.Interrupt() })
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !errors.Is(werr, ErrInterrupted) {
-		t.Fatalf("err = %v", werr)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("interrupted proc left on queue, len=%d", q.Len())
 	}
 }
 
@@ -522,12 +442,11 @@ func TestCallbackPanicPropagatesAndAborts(t *testing.T) {
 	// must not be misattributed to the proc whose goroutine was running
 	// the loop — nor run that proc's deferred functions.
 	k := NewKernel()
-	q := k.NewQueue("q")
 	deferRan := false
 	k.Spawn("bystander", func(p *Proc) {
 		defer func() { deferRan = true }()
 		p.Sleep(time.Second) // ensures a proc goroutine holds the baton
-		q.Wait(p)
+		p.Park()
 	})
 	k.At(Time(2e9), func() { panic("cb-boom") })
 	func() {
@@ -552,9 +471,8 @@ func TestCallbackPanicPropagatesAndAborts(t *testing.T) {
 
 func TestKernelReusableAfterAbortKeepsCapacity(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
 	for i := 0; i < 4; i++ {
-		k.Spawn("w", func(p *Proc) { q.Wait(p) })
+		k.Spawn("w", func(p *Proc) { p.Park() })
 	}
 	k.At(Time(1e9), func() {}) // leaves events pending at abort time
 	k.At(Time(2e9), func() {})
@@ -570,91 +488,12 @@ func TestKernelReusableAfterAbortKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestQueueRingWraparound(t *testing.T) {
-	// Waiters cycling through the queue force the ring's head past the
-	// buffer boundary; FIFO order must survive the wrap.
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var order []string
-	const rounds = 3
-	mk := func(name string) {
-		k.Spawn(name, func(p *Proc) {
-			for i := 0; i < rounds; i++ {
-				q.Wait(p)
-				order = append(order, name)
-			}
-		})
-	}
-	mk("a")
-	mk("b")
-	mk("c")
-	at := Time(0)
-	for i := 0; i < 3*rounds; i++ {
-		at = at.Add(time.Second)
-		k.At(at, func() { q.Signal() })
-	}
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []string{"a", "b", "c", "a", "b", "c", "a", "b", "c"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("FIFO violated across ring wrap: %v", order)
-		}
-	}
-}
-
-func TestQueueRemoveMiddlePreservesFIFO(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var order []string
-	var w1 *Proc
-	mk := func(name string, interruptible bool) *Proc {
-		return k.Spawn(name, func(p *Proc) {
-			if interruptible {
-				if err := q.WaitInterruptible(p); err != nil {
-					return // interrupted: drop out without recording
-				}
-			} else {
-				q.Wait(p)
-			}
-			order = append(order, name)
-		})
-	}
-	mk("w0", false)
-	w1 = mk("w1", true)
-	mk("w2", false)
-	mk("w3", false)
-	k.At(Time(1e9), func() {
-		w1.Interrupt() // removes w1 from the middle of the ring
-		q.Signal()
-		q.Signal()
-		q.Signal()
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	want := []string{"w0", "w2", "w3"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order after middle removal = %v", order)
-		}
-	}
-}
-
 func TestAbortLeavesNoGoroutines(t *testing.T) {
 	// After an error, Run must unwind all proc goroutines; re-running the
 	// kernel is a no-op rather than a hang.
 	k := NewKernel()
-	q := k.NewQueue("q")
 	for i := 0; i < 10; i++ {
-		k.Spawn("w", func(p *Proc) { q.Wait(p) })
+		k.Spawn("w", func(p *Proc) { p.Park() })
 	}
 	k.Spawn("boom", func(p *Proc) { panic("x") })
 	if err := k.Run(MaxTime); err == nil {
@@ -662,25 +501,5 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 	}
 	if len(k.procs) != 0 {
 		t.Fatalf("%d procs still live after abort", len(k.procs))
-	}
-}
-
-func TestSetTraceReceivesLifecycle(t *testing.T) {
-	k := NewKernel()
-	var lines []string
-	k.SetTrace(func(tm Time, format string, args ...interface{}) {
-		lines = append(lines, format)
-	})
-	k.Spawn("p", func(p *Proc) { p.Sleep(time.Millisecond) })
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) < 2 {
-		t.Fatalf("trace lines = %v", lines)
-	}
-	k.SetTrace(nil) // disabling must not panic on the next spawn
-	k.Spawn("q", func(p *Proc) {})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
 	}
 }
