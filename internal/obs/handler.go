@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -85,8 +86,8 @@ func (t *Tracer) DebugHandler() http.Handler {
 		minMS := 0.0
 		if q := r.URL.Query().Get("min_ms"); q != "" {
 			v, err := strconv.ParseFloat(q, 64)
-			if err != nil || v < 0 {
-				http.Error(w, "min_ms: want a non-negative number", http.StatusBadRequest)
+			if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				http.Error(w, "min_ms: want a finite non-negative number", http.StatusBadRequest)
 				return
 			}
 			minMS = v

@@ -203,8 +203,10 @@ func TestDebugHandlerFilterAndNil(t *testing.T) {
 	if code, d = get(tr.DebugHandler(), "/debug/traces"); code != http.StatusOK || len(d.Traces) != 2 {
 		t.Fatalf("unfiltered dump=%+v (status %d)", d, code)
 	}
-	if code, _ := get(tr.DebugHandler(), "/debug/traces?min_ms=nope"); code != http.StatusBadRequest {
-		t.Fatalf("bad min_ms accepted: %d", code)
+	for _, bad := range []string{"nope", "NaN", "-1", "Inf"} {
+		if code, _ := get(tr.DebugHandler(), "/debug/traces?min_ms="+bad); code != http.StatusBadRequest {
+			t.Fatalf("bad min_ms=%s accepted: %d", bad, code)
+		}
 	}
 
 	var nilTr *Tracer

@@ -260,11 +260,13 @@ func (s *Server) timeoutFor(ms float64) time.Duration {
 	if ms <= 0 {
 		return s.opts.DefaultTimeout
 	}
-	d := time.Duration(ms * float64(time.Millisecond))
-	if d > s.opts.MaxTimeout {
+	// Clamp in float64: a timeout_ms past ~9.2e12 overflows Duration
+	// and would come out negative, cancelling the request at once.
+	d := ms * float64(time.Millisecond)
+	if d >= float64(s.opts.MaxTimeout) {
 		return s.opts.MaxTimeout
 	}
-	return d
+	return time.Duration(d)
 }
 
 // methodNotAllowed renders the typed 405 naming the verb to use.

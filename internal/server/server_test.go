@@ -226,6 +226,20 @@ func TestSimulateDeadlineExpired(t *testing.T) {
 	}
 }
 
+// TestSimulateHugeTimeoutClamps sends a timeout_ms too large for a
+// Duration: it must clamp to MaxTimeout, not overflow into a negative
+// deadline that cancels the request before it runs.
+func TestSimulateHugeTimeoutClamps(t *testing.T) {
+	s := testServer(t, Options{})
+	if got := s.timeoutFor(1e13); got != s.opts.MaxTimeout {
+		t.Fatalf("timeoutFor(1e13) = %v, want MaxTimeout %v", got, s.opts.MaxTimeout)
+	}
+	body := `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"nodvs"},"timeout_ms":1e13}`
+	if rec := post(s, "/simulate", body); rec.Code != http.StatusOK {
+		t.Fatalf("status=%d want 200; body=%s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestSimulateClientGone simulates an abandoned connection: the request
 // context is already cancelled, so the job must be skipped.
 func TestSimulateClientGone(t *testing.T) {

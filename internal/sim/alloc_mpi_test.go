@@ -1,11 +1,12 @@
 package sim_test
 
-// The kernel's own alloc tests (alloc_test.go) pin the handoff substrate
-// at zero allocations. This external-package test pins the full mpisim
-// ping-pong round trip — Send/Recv through netsim and the node model —
-// at its steady-state allocation budget, so a kernel change that sneaks
-// allocations into the proc switch (or an MPI-layer change that regresses
-// the message path) fails here rather than only showing up in -benchmem.
+// The kernel's own alloc tests (alloc_test.go) pin the event and proc
+// switch substrate at zero allocations. This external-package test pins
+// the full mpisim ping-pong round trip — Send/Recv through netsim and the
+// node model — at its steady-state allocation budget, so a kernel change
+// that sneaks allocations into the proc switch (or an MPI-layer change
+// that regresses the message path) fails here rather than only showing up
+// in -benchmem.
 
 import (
 	"runtime"
@@ -22,7 +23,8 @@ import (
 // Request, each Recv's Request and each message's delivery event come
 // from the world's freelists, a waiting rank parks in a slot on its
 // Request, every kernel event comes from the kernel freelist, and every
-// proc switch is a direct continuation handoff (or no switch at all).
+// proc switch is a coroutine resume that allocates nothing (iter.Pull
+// allocates once, at Spawn).
 const pingPongAllocBudget = 0
 
 // memStatsSlack covers the allocations runtime.ReadMemStats itself makes

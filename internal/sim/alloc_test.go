@@ -69,7 +69,7 @@ func TestParkUnparkAllocFree(t *testing.T) {
 }
 
 // TestSleepInterruptibleAllocFree pins the interruptible sleep path
-// (schedule → yield → park → channel resume) at zero allocations.
+// (schedule → yield → coroutine resume) at zero allocations.
 func TestSleepInterruptibleAllocFree(t *testing.T) {
 	k := NewKernel()
 	const warmup, runs = 8, 1000
@@ -100,11 +100,12 @@ func TestSleepInterruptibleAllocFree(t *testing.T) {
 	}
 }
 
-// TestSelfResumeAllocFree pins the zero-switch fast path: a proc popping
-// its own wake event and continuing must not touch the heap allocator at
-// all. Measured inside the proc body so the whole run — including the
-// inline dispatch loop — is covered.
-func TestSelfResumeAllocFree(t *testing.T) {
+// TestSleepChainAllocFree pins a proc sleeping in a loop: each Sleep
+// schedules the proc's own wake, switches back to Run, which pops that
+// event and resumes the coroutine, all without touching the heap
+// allocator. Measured inside the proc body so Run's dispatch between the
+// sleeps is covered too.
+func TestSleepChainAllocFree(t *testing.T) {
 	k := NewKernel()
 	var mallocs uint64
 	k.Spawn("sleeper", func(p *Proc) {
@@ -123,7 +124,7 @@ func TestSelfResumeAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mallocs != 0 {
-		t.Fatalf("self-resume fast path allocated %d objects over 1000 sleeps, want 0", mallocs)
+		t.Fatalf("sleep chain allocated %d objects over 1000 sleeps, want 0", mallocs)
 	}
 }
 

@@ -1,8 +1,16 @@
+//go:build go1.23
+
+// iter.Pull is Go 1.23 API. The build tag lifts this file's language
+// version above go.mod's go 1.22 line. go.mod stays at 1.22 because the
+// perfbench module replaces this one from its own go 1.22 go.mod, and a
+// higher go line here would make it fail with "updates to go.mod needed".
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -10,20 +18,28 @@ import (
 // another proc called Interrupt on the blocked proc.
 var ErrInterrupted = errors.New("sim: interrupted")
 
-// errAborted is panicked inside proc primitives during kernel shutdown; it
-// is caught by the proc wrapper and never escapes to user code.
+// errAborted is panicked inside a blocked proc's yield once the kernel has
+// stopped its coroutine; it is caught by the proc wrapper and never escapes
+// to user code.
 var errAborted = errors.New("sim: aborted")
 
-// Proc is a simulated process. A Proc's body function runs cooperatively:
-// it executes only between the kernel's event dispatches, and yields
+// Proc is a simulated process. A Proc's body function runs as a coroutine:
+// Run resumes it when an event names it, and it hands control back to Run
 // whenever it calls a blocking primitive (Sleep, Park, ...).
 //
 // A Proc must only be used from its own body function, except for
-// Interrupt, which other procs (or kernel At callbacks) may call.
+// Interrupt and Unpark, which other procs (or kernel At callbacks) may call.
 type Proc struct {
 	k    *Kernel
 	name string
-	wake chan wakeKind
+	// next resumes the coroutine until its body blocks (true) or returns
+	// (false); stop makes a blocked yield return false; yieldFn is the
+	// coroutine's yield, called by the body to block.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
+	// kind is why Run last resumed the proc.
+	kind wakeKind
 
 	// pendingWake is the timer event that will resume this proc, if it is
 	// sleeping; Interrupt cancels it.
@@ -48,9 +64,17 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	if fn == nil {
 		panic("sim: Spawn with nil fn")
 	}
-	p := &Proc{k: k, name: name, wake: make(chan wakeKind)}
+	p := &Proc{k: k, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != errAborted && k.err == nil {
+				k.err = &PanicError{Proc: p.name, Value: r, Stack: string(debug.Stack())}
+			}
+		}()
+		p.yieldFn = yield
+		fn(p)
+	})
 	k.procs[p] = struct{}{}
-	go p.run(fn)
 	ev := k.alloc()
 	ev.t, ev.proc = t, p
 	k.schedule(ev)
@@ -58,39 +82,14 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// run is the goroutine body wrapping fn with the baton protocol: after the
-// body returns (or panics) this goroutine still holds the baton, so it
-// keeps dispatching events until the baton moves to another proc or the
-// loop finishes and the baton returns to the Run caller.
-func (p *Proc) run(fn func(p *Proc)) {
-	kind := <-p.wake // wait for the start event
-	defer func() {
-		aborting := kind == wakeAborted
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-				aborting = true
-			} else if p.k.err == nil {
-				p.k.err = &PanicError{Proc: p.name, Value: r, Stack: string(debug.Stack())}
-			}
-		}
+// resume runs p until it blocks or its body returns.
+func (k *Kernel) resume(p *Proc) {
+	k.running = p
+	if _, ok := p.next(); !ok {
 		p.done = true
-		delete(p.k.procs, p)
-		if aborting {
-			// Hand the baton back to the abort coordinator (abortAll).
-			p.k.done <- struct{}{}
-			return
-		}
-		// Normal exit or body panic: keep the simulation moving. On a
-		// body panic k.err is set, so the loop finishes immediately and
-		// the Run caller takes over to abort the remaining procs.
-		if st, _ := p.k.runLoop(nil); st == loopFinished {
-			p.k.done <- struct{}{}
-		}
-	}()
-	if kind == wakeAborted {
-		return
+		delete(k.procs, p)
 	}
-	fn(p)
+	k.running = nil
 }
 
 // Name returns the proc's name.
@@ -103,31 +102,17 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Time { return p.k.now }
 
 // yield blocks the calling proc and returns the wake kind when it is next
-// resumed. Instead of waking an executive goroutine, the blocking proc
-// runs the dispatch loop inline: if the next runnable event resumes this
-// very proc (a Sleep in a compute loop, a daemon poll tick), yield returns
-// without a single goroutine switch; otherwise the baton moves straight to
-// the next proc's goroutine and this one parks on its wake channel.
+// resumed. The coroutine switches straight back to Run, which dispatches
+// events until one resumes this proc again. Once abortAll has stopped the
+// coroutine, yield returns false and the proc unwinds with errAborted.
 func (p *Proc) yield() wakeKind {
 	if p.k.running != p {
 		panic(fmt.Sprintf("sim: proc %q yielding while not running", p.name))
 	}
-	st, kind := p.k.runLoop(p)
-	switch st {
-	case loopSelf:
-		// Zero-switch fast path: we popped our own wake event.
-	case loopHandedOff:
-		kind = <-p.wake
-	case loopFinished:
-		// Dispatch cannot proceed; return the baton to the Run caller
-		// and park until a future Run (or abortAll) resumes us.
-		p.k.done <- struct{}{}
-		kind = <-p.wake
-	}
-	if kind == wakeAborted {
+	if !p.yieldFn(struct{}{}) {
 		panic(errAborted)
 	}
-	return kind
+	return p.kind
 }
 
 // Sleep suspends the proc for d of virtual time. It cannot be interrupted.
